@@ -64,8 +64,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced inputs (must match every peer)")
 	timescale := flag.Float64("timescale", 0, "scale modelled compute costs into real sleeps")
 	dialTimeout := flag.Duration("dial-timeout", 20*time.Second, "how long to wait for the peer mesh")
-	wire := flag.String("wire", "binary",
-		"frame encoding: binary (hand-rolled hot-path codecs) or gob (force the escape frames; per-frame, so peers may differ)")
 	lanes := flag.Int("lanes", 2,
 		"data connections per node pair: 1 (single shared) or 2 (control + bulk; must match every peer)")
 	oneSided := flag.Bool("onesided", true,
@@ -129,14 +127,10 @@ func main() {
 			Timescale:   *timescale,
 			DialTimeout: *dialTimeout,
 			Fingerprint: adsm.RunFingerprint(fpName, proto, home, *procs, *quick),
-			ForceGob:    *wire == "gob",
 			Lanes:       *lanes,
 			NoOneSided:  !*oneSided,
 			LeaseTerm:   *lease,
 		},
-	}
-	if *wire != "binary" && *wire != "gob" {
-		fail(fmt.Errorf("unknown -wire %q (binary or gob)", *wire))
 	}
 
 	if *recoverable || *recoverRun {

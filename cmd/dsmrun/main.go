@@ -6,7 +6,6 @@
 //
 //	dsmrun [-app SOR] [-protocol WFS] [-procs 8] [-quick] [-protocols]
 //	       [-transport sim|tcp] [-tcp-addrs a0,a1,...] [-tcp-local 0] [-timescale X]
-//	       [-wire binary|gob]
 //
 // Any protocol registered with adsm.RegisterProtocol (e.g. HLRC) is
 // selectable by name; -protocols lists them.
@@ -53,8 +52,6 @@ func main() {
 		"scale modelled compute costs into real sleeps under -transport tcp (0: run flat out)")
 	prefetch := flag.Bool("prefetch", true,
 		"batch a span's page fetches into one overlapped Multicall (false: serial per-page faults)")
-	wire := flag.String("wire", "binary",
-		"frame encoding under -transport tcp: binary (hand-rolled hot-path codecs) or gob (force the escape frames)")
 	lanes := flag.Int("lanes", 2,
 		"data connections per node pair under -transport tcp: 1 (single shared) or 2 (control + bulk)")
 	oneSided := flag.Bool("onesided", true,
@@ -105,14 +102,6 @@ func main() {
 		cfg.TCP.Fingerprint = adsm.RunFingerprint(*appName, proto, home, *procs, *quick)
 		cfg.TCP.Lanes = *lanes
 		cfg.TCP.NoOneSided = !*oneSided
-		switch *wire {
-		case "binary":
-		case "gob":
-			cfg.TCP.ForceGob = true
-		default:
-			fmt.Fprintf(os.Stderr, "dsmrun: unknown -wire %q (binary or gob)\n", *wire)
-			os.Exit(2)
-		}
 		if *tcpAddrs != "" {
 			cfg.TCP.Addrs = strings.Split(*tcpAddrs, ",")
 			cfg.TCP.Local = []int{0}

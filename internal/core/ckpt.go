@@ -281,7 +281,7 @@ func (m ckptPut) Size() int {
 // ckptAck acknowledges that a delta is in the buddy's store.
 type ckptAck struct{}
 
-func (ckptAck) Size() int { return 1 }
+func (ckptAck) Size() int { return 0 }
 
 // recArrive is one node's checkpoint inventory, sent to the recovery
 // coordinator (node 0) when a rebuilt cluster starts in recovery mode.
@@ -307,7 +307,11 @@ type recRelease struct {
 }
 
 func (m recRelease) Size() int {
-	return uLen(uint64(m.Step)) + iLen(len(m.Restorer)) + 8*len(m.Restorer)
+	n := uLen(uint64(m.Step)) + iLen(len(m.Restorer))
+	for _, rk := range m.Restorer {
+		n += iLen(rk)
+	}
+	return n
 }
 
 // recProtoArrive carries the per-page protocol bindings of the partitions
@@ -317,13 +321,7 @@ type recProtoArrive struct {
 	Switches []policySwitch
 }
 
-func (m recProtoArrive) Size() int {
-	n := iLen(m.Node) + iLen(len(m.Switches))
-	for _, s := range m.Switches {
-		n += iLen(s.Page) + i32Len(s.Proto) + iLen(s.Owner) + i32Len(s.Version)
-	}
-	return n
-}
+func (m recProtoArrive) Size() int { return iLen(m.Node) + switchesLen(m.Switches) }
 
 // recProtoRelease is the merged switch set every node applies before any
 // restore write, so the restored bytes travel under their checkpointed
@@ -332,13 +330,7 @@ type recProtoRelease struct {
 	Switches []policySwitch
 }
 
-func (m recProtoRelease) Size() int {
-	n := iLen(len(m.Switches))
-	for _, s := range m.Switches {
-		n += iLen(s.Page) + i32Len(s.Proto) + iLen(s.Owner) + i32Len(s.Version)
-	}
-	return n
-}
+func (m recProtoRelease) Size() int { return switchesLen(m.Switches) }
 
 // --- checkpoint barrier (process context) ---
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"bytes"
 	"testing"
 
 	"adsm/internal/mem"
@@ -19,6 +19,16 @@ func sampleDiff(pg, bytes int) *mem.Diff {
 	return mem.MakeDiff(pg, twin, cur)
 }
 
+// multiRunDiff builds a diff of several runs, including a one-byte run
+// and a run ending at the last byte of the page.
+func multiRunDiff(pg int) *mem.Diff {
+	return &mem.Diff{Page: pg, Runs: []mem.Run{
+		{Off: 0, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		{Off: 200, Data: []byte{9}},
+		{Off: 4000, Data: bytes.Repeat([]byte{0xab}, 96)},
+	}}
+}
+
 func sampleVC() vc.VC { return vc.VC{3, 1, 4, 1, 5, 9, 2, 6} }
 
 func sampleIntervals() []*Interval {
@@ -33,10 +43,10 @@ func sampleIntervals() []*Interval {
 }
 
 // msgSamples returns representative values of every registered core
-// message — the shared table behind the wire-size audit, the binary/gob
-// round-trip equivalence test and the fuzz seed corpus. Each entry
-// exercises the message's interesting shapes (payloads, piggybacked
-// intervals, unserved/denied variants).
+// message — the shared table behind the wire-size audit, the round-trip
+// test and the fuzz seed corpus. Each entry exercises the message's
+// interesting shapes (payloads, piggybacked intervals, unserved/denied
+// variants, nil slices, negative "none" markers).
 func msgSamples() map[string][]transport.Msg {
 	nprocs := 8
 	return map[string][]transport.Msg{
@@ -101,29 +111,55 @@ func msgSamples() map[string][]transport.Msg {
 		},
 		"swOwnReq":   {swOwnReq{Page: 3, Hops: 1}},
 		"swOwnGrant": {swOwnGrant{Version: 9, Data: mem.NewPage(), Applied: sampleVC()}},
-		"hlrcFlush": {hlrcFlush{VC: sampleVC(), Entries: []hlrcEntry{
-			{Page: 2, Diff: sampleDiff(2, 640)},
-			{Page: 7, Diff: sampleDiff(7, 48)},
-		}}},
+		"hlrcFlush": {
+			hlrcFlush{VC: sampleVC(), Entries: []hlrcEntry{
+				{Page: 2, Diff: sampleDiff(2, 640)},
+				{Page: 7, Diff: sampleDiff(7, 48)},
+			}},
+			hlrcFlush{VC: sampleVC(), Entries: []hlrcEntry{
+				{Page: 300, Diff: multiRunDiff(300)},
+				{Page: 3, Diff: &mem.Diff{Page: 3}}, // empty diff: no runs
+			}},
+			hlrcFlush{VC: sampleVC()},
+		},
 		"hlrcAck":      {hlrcAck{}},
-		"homeBindReq":  {homeBindReq{Page: 12}},
+		"homeBindReq":  {homeBindReq{Page: 12}, homeBindReq{Page: 70000}},
 		"homeBindResp": {homeBindResp{Home: 5}},
-		"acqReq":       {acqReq{Lock: 7, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}},
-		"acqFwd":       {acqFwd{Lock: 7, Origin: 2, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}},
-		"acqGrant":     {acqGrant{Intervals: sampleIntervals(), VC: sampleVC(), nprocs: nprocs}},
+		"acqReq":       {acqReq{Lock: 7, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}}, acqReq{Lock: 1}},
+		"acqFwd": {
+			acqFwd{Lock: 7, Origin: 2, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6}},
+			acqFwd{Lock: 130, Origin: 0},
+		},
+		"acqGrant": {
+			acqGrant{Intervals: sampleIntervals(), VC: sampleVC()},
+			acqGrant{Intervals: []*Interval{{Proc: 1, TS: 300, VC: sampleVC()}}, VC: sampleVC()},
+			acqGrant{VC: sampleVC()},
+		},
 		"barArrive": {barArrive{Epoch: 12, KnownTS: []int32{3, 1, 4, 1, 5, 9, 2, 6},
 			Intervals: sampleIntervals(), MemPressure: true, nprocs: nprocs}},
-		"ckptPut": {ckptPut{From: 1, Step: 4, Pages: []ckptPage{
-			{Page: 3, Data: mem.NewPage(), Proto: 0, Sum: 12345},
-			{Page: 7, Data: mem.NewPage(), Proto: 4, Sum: 99},
-		}}},
-		"ckptAck":    {ckptAck{}},
-		"recArrive":  {recArrive{Node: 2, OwnCommitted: 4, OwnPending: 5, RepCommitted: 4, RepPending: 5}},
-		"recRelease": {recRelease{Step: 4, Restorer: []int{0, 1, 2, 3}}},
-		"recProtoArrive": {recProtoArrive{Node: 1, Switches: []policySwitch{
-			{Page: 2, Proto: 4, Owner: 1, Version: 1}, {Page: 5, Proto: 0, Owner: 1, Version: 1}}}},
-		"recProtoRelease": {recProtoRelease{Switches: []policySwitch{
-			{Page: 2, Proto: 4, Owner: 1, Version: 1}}}},
+		"ckptPut": {
+			ckptPut{From: 1, Step: 4, Pages: []ckptPage{
+				{Page: 3, Data: mem.NewPage(), Proto: 0, Sum: 12345},
+				{Page: 7, Data: mem.NewPage(), Proto: 4, Sum: 99},
+				{Page: 9, Proto: 1, Sum: ckptSum(nil)}, // empty page frame
+			}},
+			ckptPut{From: 2, Step: 200},
+		},
+		"ckptAck": {ckptAck{}},
+		"recArrive": {
+			recArrive{Node: 2, OwnCommitted: 4, OwnPending: 5, RepCommitted: 4, RepPending: 5},
+			recArrive{Node: 1, OwnCommitted: -1, OwnPending: -1, RepCommitted: -1, RepPending: -1},
+		},
+		"recRelease": {recRelease{Step: 4, Restorer: []int{0, 1, 2, 3}}, recRelease{Step: -1}},
+		"recProtoArrive": {
+			recProtoArrive{Node: 1, Switches: []policySwitch{
+				{Page: 2, Proto: 4, Owner: 1, Version: 1}, {Page: 5, Proto: 0, Owner: 1, Version: 1}}},
+			recProtoArrive{Node: 3},
+		},
+		"recProtoRelease": {
+			recProtoRelease{Switches: []policySwitch{{Page: 2, Proto: 4, Owner: 1, Version: 1}}},
+			recProtoRelease{},
+		},
 		"barRelease": {
 			barRelease{Intervals: sampleIntervals(), Global: []int32{3, 1, 4, 1, 5, 9, 2, 6},
 				GC: true, Hints: []gcHint{{Page: 1, Owner: 2, Version: 3}, {Page: 9, Owner: 0, Version: 1}},
@@ -161,54 +197,38 @@ func TestMessageLaneClasses(t *testing.T) {
 	}
 }
 
-// TestMsgSizeMatchesWire audits every registered protocol message against
-// what the wire actually moves. Messages with a binary codec are pinned
-// exactly: Size() must equal the binary frame body byte for byte, since
-// the cost model, the traffic counters and the real transport now all
-// speak the same encoding. The remaining cold-path messages ride the gob
-// fallback, whose framing is not worth modelling precisely; for those the
-// declared size must track the steady-state gob payload within 10% plus a
-// fixed 96-byte allowance. A failure here means a Size() method drifted
-// from what the wire moves.
+// allSamples is msgSamples plus every registered codec's zero-value
+// message, so the audits also cover each message's emptiest encoding.
+func allSamples() map[string][]transport.Msg {
+	samples := msgSamples()
+	for _, c := range transport.Codecs() {
+		samples[c.Name] = append(samples[c.Name], c.Msg)
+	}
+	return samples
+}
+
+// TestMsgSizeMatchesWire pins the cost model to the wire: for every
+// sample of every registered protocol message, Size() must equal the
+// encoded frame body byte for byte, since the simulator's byte model, the
+// traffic counters and the real transport all read the same codec table.
+// A failure here means a Size() method drifted from what the wire moves.
 func TestMsgSizeMatchesWire(t *testing.T) {
-	covered := map[string]bool{}
-	for name, msgs := range msgSamples() {
-		covered[name] = true
-		for _, m := range msgs {
-			declared := m.Size()
-			if body, ok := transport.WireBody(m); ok {
-				if declared != len(body) {
-					t.Errorf("%s: declared Size()=%d but binary wire body is %d bytes",
-						name, declared, len(body))
-				} else {
-					t.Logf("%s: binary, %d bytes exact", name, declared)
-				}
-				continue
-			}
-			wire, err := transport.WireSize(m)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			slack := wire/10 + 96
-			drift := declared - wire
-			if drift < 0 {
-				drift = -drift
-			}
-			if drift > slack {
-				t.Errorf("%s: declared Size()=%d but gob wire=%d (drift %d > allowed %d)",
-					name, declared, wire, drift, slack)
-			} else {
-				t.Logf("%s: gob fallback, declared %d, wire %d", name, declared, wire)
-			}
+	samples := msgSamples()
+	for _, c := range transport.Codecs() {
+		if len(samples[c.Name]) == 0 {
+			t.Errorf("registered codec %q has no wire-size sample", c.Name)
 		}
 	}
-
-	// The table must pin every registered core message type: a protocol
-	// that adds a message without a sample here fails the audit. Codecs
-	// registered by other packages use dotted names and are exempt.
-	for _, c := range transport.Codecs() {
-		if !covered[c.Name] && !strings.Contains(c.Name, ".") {
-			t.Errorf("registered codec %q has no wire-size sample", c.Name)
+	for name, msgs := range allSamples() {
+		for i, m := range msgs {
+			body, ok := transport.WireBody(m)
+			if !ok {
+				t.Fatalf("%s[%d]: %T has no codec", name, i, m)
+			}
+			if m.Size() != len(body) {
+				t.Errorf("%s[%d]: declared Size()=%d but the wire body is %d bytes",
+					name, i, m.Size(), len(body))
+			}
 		}
 	}
 }

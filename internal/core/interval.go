@@ -36,24 +36,6 @@ func keyOf(wn *WriteNotice) wnKey {
 	return wnKey{page: wn.Page, proc: wn.Int.Proc, ts: wn.Int.TS}
 }
 
-// Encoded sizes for traffic accounting, audited against the actual wire
-// encoding (TestMsgSizeMatchesWire): varint-coded interval metadata costs
-// ~2 bytes per vector-clock entry and ~8 per write notice, not the packed
-// 4-byte/24-byte C structs the model originally charged.
-const (
-	wnWireBytes       = 8  // page, flags, version, data hint
-	intervalWireBytes = 12 // proc, ts + length headers
-	vcEntryWireBytes  = 2  // varint-coded interval counter
-)
-
-func intervalsWireSize(ivs []*Interval, nprocs int) int {
-	n := 0
-	for _, iv := range ivs {
-		n += intervalWireBytes + vcEntryWireBytes*nprocs + wnWireBytes*len(iv.WNs)
-	}
-	return n
-}
-
 // closeInterval ends the node's current interval if it wrote anything,
 // creating write notices for every dirty page. It is called at every
 // release-class event: lock release/grant, barrier arrival, and lock

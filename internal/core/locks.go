@@ -104,7 +104,7 @@ func (n *Node) grantLock(c transport.Call, requesterKnow []int32) {
 	if debugLockGrant != nil {
 		debugLockGrant(n, c.Origin(), requesterKnow, ivs)
 	}
-	c.Reply(acqGrant{Intervals: ivs, VC: n.vclock.Copy(), nprocs: n.c.params.Procs})
+	c.Reply(acqGrant{Intervals: ivs, VC: n.vclock.Copy()})
 }
 
 // serveAcqReq runs at the lock manager: forward to the last holder (or
@@ -143,7 +143,7 @@ func (n *Node) holderHandle(c transport.Call, lock int, know []int32) {
 		if debugLockGrant != nil {
 			debugLockGrant(n, c.Origin(), know, ivs)
 		}
-		c.Reply(acqGrant{Intervals: ivs, VC: relVC.Copy(), nprocs: n.c.params.Procs})
+		c.Reply(acqGrant{Intervals: ivs, VC: relVC.Copy()})
 	case lockHolding, lockWaiting:
 		if st.pending != nil {
 			panic(fmt.Sprintf("dsm: lock %d has two queued requests at node %d", lock, n.id))

@@ -7,11 +7,9 @@ import (
 
 // Protocol messages. Size() reports payload bytes for the network cost
 // model; contents are passed by reference (the simulator runs in one
-// address space) but every transfer is charged its wire size. Messages
-// with a binary codec (wire.go) declare the exact byte count their
-// encoder produces — wire_test.go pins Size() == len(encoding) — while
-// the cold-path gob messages keep modelled sizes audited with slack by
-// TestMsgSizeMatchesWire.
+// address space) but every transfer is charged its wire size: each Size()
+// is the exact byte count the message's codec (wire.go) produces, pinned
+// by TestMsgSizeMatchesWire.
 
 // --- paging ---
 
@@ -294,9 +292,9 @@ type hlrcEntry struct {
 }
 
 func (m hlrcFlush) Size() int {
-	n := 8 + 4*len(m.VC)
+	n := vcLen(m.VC) + iLen(len(m.Entries))
 	for _, e := range m.Entries {
-		n += 8 + e.Diff.EncodedSize()
+		n += iLen(e.Page) + e.Diff.EncodedSize()
 	}
 	return n
 }
@@ -304,7 +302,7 @@ func (m hlrcFlush) Size() int {
 // hlrcAck acknowledges a flush; the writer may retire its diffs.
 type hlrcAck struct{}
 
-func (hlrcAck) Size() int { return 8 }
+func (hlrcAck) Size() int { return 0 }
 
 // --- home binding (first-touch home policy) ---
 
@@ -314,14 +312,14 @@ type homeBindReq struct {
 	Page int
 }
 
-func (homeBindReq) Size() int { return 12 }
+func (m homeBindReq) Size() int { return iLen(m.Page) }
 
 // homeBindResp carries the agreed binding.
 type homeBindResp struct {
 	Home int
 }
 
-func (homeBindResp) Size() int { return 12 }
+func (m homeBindResp) Size() int { return iLen(m.Home) }
 
 // --- locks ---
 
@@ -333,7 +331,7 @@ type acqReq struct {
 	KnownTS []int32
 }
 
-func (m acqReq) Size() int { return 8 + 4*len(m.KnownTS) }
+func (m acqReq) Size() int { return iLen(m.Lock) + tsLen(m.KnownTS) }
 
 // acqFwd is the manager forwarding the request to the last holder.
 type acqFwd struct {
@@ -342,17 +340,16 @@ type acqFwd struct {
 	KnownTS []int32
 }
 
-func (m acqFwd) Size() int { return 12 + 4*len(m.KnownTS) }
+func (m acqFwd) Size() int { return iLen(m.Lock) + iLen(m.Origin) + tsLen(m.KnownTS) }
 
 // acqGrant passes the lock to the requester with the piggybacked
 // intervals and the releaser's vector clock.
 type acqGrant struct {
 	Intervals []*Interval
 	VC        vc.VC
-	nprocs    int
 }
 
-func (m acqGrant) Size() int { return 8 + 4*len(m.VC) + intervalsWireSize(m.Intervals, m.nprocs) }
+func (m acqGrant) Size() int { return intervalsLen(m.Intervals) + vcLen(m.VC) }
 
 // --- barriers ---
 
@@ -373,8 +370,7 @@ func (m barArrive) Size() int {
 
 // barRelease releases a waiter with the intervals it lacks and the global
 // knowledge vector. GC instructs all nodes to run garbage collection;
-// Hints carries post-GC page routing (validator/owner per page), charged
-// at 8 bytes per entry. Switches carries the adaptive meta-protocol's
+// Hints carries post-GC page routing (validator/owner per page). Switches carries the adaptive meta-protocol's
 // per-page policy decisions: every node applies them at this release, so
 // a page's protocol flips cluster-wide at the same barrier epoch.
 type barRelease struct {
@@ -407,9 +403,5 @@ func (m barRelease) Size() int {
 	for _, h := range m.Hints {
 		n += iLen(h.Page) + iLen(h.Owner) + i32Len(h.Version)
 	}
-	n += iLen(len(m.Switches))
-	for _, s := range m.Switches {
-		n += iLen(s.Page) + i32Len(s.Proto) + iLen(s.Owner) + i32Len(s.Version)
-	}
-	return n + iLen(m.nprocs)
+	return n + switchesLen(m.Switches) + iLen(m.nprocs)
 }

@@ -1,23 +1,24 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"adsm/internal/mem"
 	"adsm/internal/transport"
 	"adsm/internal/vc"
 )
 
-// Hand-rolled binary encodings for the hot protocol messages (the
-// AppendWire/DecodeWire hooks registered in codec.go). Layout conventions
-// are transport/wire.go's: uvarint integers, count-prefixed slices with
-// zero counts decoding to nil, and large []byte payloads (page contents,
-// diff run data) declared by length in the metadata but carried in a
-// payload section after it — the transport sends them as separate iovecs
-// and the decoder slices them out of the frame blob without copying.
+// Binary encodings for every protocol message (the AppendWire/DecodeWire
+// hooks registered in codec.go). Layout conventions are transport/wire.go's:
+// uvarint integers, count-prefixed slices with zero counts decoding to
+// nil, and large []byte payloads (page contents, diff run data, checkpoint
+// pages) declared by length in the metadata but carried in a payload
+// section after it — the transport sends them as separate iovecs and the
+// decoder slices them out of the frame blob without copying.
 //
-// Every message's Size() in msgs.go is the exact byte count these
-// encoders produce; wire_test.go pins the two to each other and to the
-// gob round-trip. Cold-path messages (hlrcFlush/hlrcAck, homeBind*,
-// acq*) keep the gob fallback and modelled sizes.
+// Every message's Size() in msgs.go (and ckpt.go) is the exact byte count
+// these encoders produce; codec_test.go pins the two to each other and
+// wire_test.go pins decode∘encode to the identity.
 
 // --- append/size/read primitives ---
 
@@ -105,9 +106,9 @@ func readKeys(r *transport.WireReader) []wnKey {
 	return ks
 }
 
-// Intervals flatten exactly like the gob wire form: per interval its proc,
-// ts and VC, then the write notices without their back-pointer (the
-// decoder re-links each notice to its enclosing interval).
+// An interval encodes as its proc, ts and VC, then its write notices
+// without their back-pointer (the decoder re-links each notice to its
+// enclosing interval).
 
 func putIntervals(b []byte, ivs []*Interval) []byte {
 	b = putI(b, len(ivs))
@@ -158,6 +159,39 @@ func readIntervals(r *transport.WireReader) []*Interval {
 	return out
 }
 
+// Policy switches (barrier releases and recovery) are four uvarints each.
+
+func putSwitches(b []byte, sws []policySwitch) []byte {
+	b = putI(b, len(sws))
+	for _, s := range sws {
+		b = putI(b, s.Page)
+		b = putI32(b, s.Proto)
+		b = putI(b, s.Owner)
+		b = putI32(b, s.Version)
+	}
+	return b
+}
+
+func switchesLen(sws []policySwitch) int {
+	n := iLen(len(sws))
+	for _, s := range sws {
+		n += iLen(s.Page) + i32Len(s.Proto) + iLen(s.Owner) + i32Len(s.Version)
+	}
+	return n
+}
+
+func readSwitches(r *transport.WireReader) []policySwitch {
+	n := r.Count(4)
+	if n == 0 {
+		return nil
+	}
+	sws := make([]policySwitch, n)
+	for i := range sws {
+		sws[i] = policySwitch{Page: r.Int(), Proto: r.I32(), Owner: r.Int(), Version: r.I32()}
+	}
+	return sws
+}
+
 // Diff metadata: uvarint page and run count, then per run a uvarint
 // (offset, length) header. The run data bytes go to the payload section;
 // the decoder's second pass slices them back in traversal order. The
@@ -198,6 +232,15 @@ func readDiffData(r *transport.WireReader, d *mem.Diff, lens []int) []int {
 	return lens
 }
 
+// closed finishes a decode: m, or the reader's error if the body was
+// malformed or not fully consumed.
+func closed(r *transport.WireReader, m transport.Msg) (transport.Msg, error) {
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // --- pageReq / pageResp ---
 
 func pageReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -210,10 +253,7 @@ func pageReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, []
 func pageReqDecodeWire(body []byte) (transport.Msg, error) {
 	r := transport.NewWireReader(body)
 	m := pageReq{Page: r.Int(), Hops: r.Int()}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func pageRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -231,10 +271,7 @@ func pageRespDecodeWire(body []byte) (transport.Msg, error) {
 	var m pageResp
 	m.Applied = readVC(r)
 	m.Data = r.Bytes(r.Int())
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 // --- diffReq / diffResp ---
@@ -251,10 +288,7 @@ func diffReqDecodeWire(body []byte) (transport.Msg, error) {
 	r := transport.NewWireReader(body)
 	m := diffReq{Page: r.Int(), SeesFS: r.Bool()}
 	m.Wants = readKeys(r)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func diffRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -282,10 +316,7 @@ func diffRespDecodeWire(body []byte) (transport.Msg, error) {
 	for _, d := range m.Diffs {
 		lens = readDiffData(r, d, lens)
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 // --- spanFetchReq / spanFetchResp ---
@@ -323,10 +354,7 @@ func spanFetchReqDecodeWire(body []byte) (transport.Msg, error) {
 			m.Diffs[i].Wants = readKeys(r)
 		}
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func spanFetchRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -389,10 +417,7 @@ func spanFetchRespDecodeWire(body []byte) (transport.Msg, error) {
 			lens = readDiffData(r, df, lens)
 		}
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 // --- one-sided region reads ---
@@ -407,10 +432,7 @@ func regionReadReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]by
 func regionReadReqDecodeWire(body []byte) (transport.Msg, error) {
 	r := transport.NewWireReader(body)
 	m := regionReadReq{Page: r.Int(), Hops: r.Int()}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func regionReadRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -428,10 +450,7 @@ func regionReadRespDecodeWire(body []byte) (transport.Msg, error) {
 	var m regionReadResp
 	m.Applied = readVC(r)
 	m.Data = r.Bytes(r.Int())
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 // The span forms carry a trailing reserved count that is always zero (it
@@ -462,10 +481,7 @@ func regionSpanReqDecodeWire(body []byte) (transport.Msg, error) {
 	if r.Int() != 0 {
 		r.Fail()
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func regionSpanRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -502,10 +518,7 @@ func regionSpanRespDecodeWire(body []byte) (transport.Msg, error) {
 	for i := range m.Pages {
 		m.Pages[i].Data = r.Bytes(pageLens[i])
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 // --- ownership ---
@@ -524,10 +537,7 @@ func ownReqDecodeWire(body []byte) (transport.Msg, error) {
 	r := transport.NewWireReader(body)
 	m := ownReq{Page: r.Int(), Version: r.I32(), NeedPage: r.Bool(), Resume: r.Bool()}
 	m.Applied = readVC(r)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func ownRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -547,10 +557,7 @@ func ownRespDecodeWire(body []byte) (transport.Msg, error) {
 	m := ownResp{Granted: r.Bool(), Version: r.I32()}
 	m.Applied = readVC(r)
 	m.Data = r.Bytes(r.Int())
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func ownBatchReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -573,10 +580,7 @@ func ownBatchReqDecodeWire(body []byte) (transport.Msg, error) {
 			m.Reqs[i].Applied = readVC(r)
 		}
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func ownBatchRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -604,10 +608,7 @@ func ownBatchRespDecodeWire(body []byte) (transport.Msg, error) {
 	for i := range m.Resps {
 		m.Resps[i].Data = r.Bytes(pageLens[i])
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func swOwnReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -620,10 +621,7 @@ func swOwnReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [
 func swOwnReqDecodeWire(body []byte) (transport.Msg, error) {
 	r := transport.NewWireReader(body)
 	m := swOwnReq{Page: r.Int(), Hops: r.Int()}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func swOwnGrantAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -642,10 +640,7 @@ func swOwnGrantDecodeWire(body []byte) (transport.Msg, error) {
 	m := swOwnGrant{Version: r.I32()}
 	m.Applied = readVC(r)
 	m.Data = r.Bytes(r.Int())
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 // --- barriers ---
@@ -668,10 +663,7 @@ func barArriveDecodeWire(body []byte) (transport.Msg, error) {
 	m.Intervals = readIntervals(r)
 	m.MemPressure = r.Bool()
 	m.nprocs = r.Int()
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return closed(r, m)
 }
 
 func barReleaseAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
@@ -685,13 +677,7 @@ func barReleaseAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte,
 		b = putI(b, h.Owner)
 		b = putI32(b, h.Version)
 	}
-	b = putI(b, len(r.Switches))
-	for _, s := range r.Switches {
-		b = putI(b, s.Page)
-		b = putI32(b, s.Proto)
-		b = putI(b, s.Owner)
-		b = putI32(b, s.Version)
-	}
+	b = putSwitches(b, r.Switches)
 	b = putI(b, r.nprocs)
 	return b, payloads
 }
@@ -709,16 +695,220 @@ func barReleaseDecodeWire(body []byte) (transport.Msg, error) {
 			m.Hints[i] = gcHint{Page: r.Int(), Owner: r.Int(), Version: r.I32()}
 		}
 	}
-	ns := r.Count(4)
-	if ns > 0 {
-		m.Switches = make([]policySwitch, ns)
-		for i := range m.Switches {
-			m.Switches[i] = policySwitch{Page: r.Int(), Proto: r.I32(), Owner: r.Int(), Version: r.I32()}
+	m.Switches = readSwitches(r)
+	m.nprocs = r.Int()
+	return closed(r, m)
+}
+
+// --- bodiless messages (hlrcAck, ckptAck) ---
+
+func emptyAppendWire(_ transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	return b, payloads
+}
+
+// emptyDecodeWire accepts only the empty body and returns m.
+func emptyDecodeWire(m transport.Msg) func([]byte) (transport.Msg, error) {
+	return func(body []byte) (transport.Msg, error) { return closed(transport.NewWireReader(body), m) }
+}
+
+// --- home flushes and home binding (HLRC) ---
+
+// hlrcFlush carries its diffs like diffResp: per entry the page and the
+// diff metadata, then every run's data in the payload section.
+func hlrcFlushAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(hlrcFlush)
+	b = putVC(b, r.VC)
+	b = putI(b, len(r.Entries))
+	for _, e := range r.Entries {
+		b = putI(b, e.Page)
+		b, payloads = putDiffMeta(b, payloads, e.Diff)
+	}
+	return b, payloads
+}
+
+func hlrcFlushDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	var m hlrcFlush
+	var lens []int
+	m.VC = readVC(r)
+	ne := r.Count(3)
+	if ne > 0 {
+		m.Entries = make([]hlrcEntry, ne)
+		for i := range m.Entries {
+			m.Entries[i].Page = r.Int()
+			m.Entries[i].Diff, lens = readDiffMeta(r, lens)
 		}
 	}
-	m.nprocs = r.Int()
-	if err := r.Close(); err != nil {
-		return nil, err
+	for _, e := range m.Entries {
+		lens = readDiffData(r, e.Diff, lens)
 	}
-	return m, nil
+	return closed(r, m)
+}
+
+func homeBindReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	return putI(b, m.(homeBindReq).Page), payloads
+}
+
+func homeBindReqDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := homeBindReq{Page: r.Int()}
+	return closed(r, m)
+}
+
+func homeBindRespAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	return putI(b, m.(homeBindResp).Home), payloads
+}
+
+func homeBindRespDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := homeBindResp{Home: r.Int()}
+	return closed(r, m)
+}
+
+// --- locks ---
+
+func acqReqAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(acqReq)
+	b = putI(b, r.Lock)
+	b = putTS(b, r.KnownTS)
+	return b, payloads
+}
+
+func acqReqDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := acqReq{Lock: r.Int()}
+	m.KnownTS = readTS(r)
+	return closed(r, m)
+}
+
+func acqFwdAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(acqFwd)
+	b = putI(b, r.Lock)
+	b = putI(b, r.Origin)
+	b = putTS(b, r.KnownTS)
+	return b, payloads
+}
+
+func acqFwdDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := acqFwd{Lock: r.Int(), Origin: r.Int()}
+	m.KnownTS = readTS(r)
+	return closed(r, m)
+}
+
+func acqGrantAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(acqGrant)
+	b = putIntervals(b, r.Intervals)
+	b = putVC(b, r.VC)
+	return b, payloads
+}
+
+func acqGrantDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	var m acqGrant
+	m.Intervals = readIntervals(r)
+	m.VC = readVC(r)
+	return closed(r, m)
+}
+
+// --- checkpoint replication and recovery ---
+
+// ckptPut puts each page's checksum as a fixed 8 bytes (hash values
+// would cost 9-10 as uvarints) and its data in the payload section.
+func ckptPutAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(ckptPut)
+	b = putI(b, r.From)
+	b = putU(b, uint64(r.Step))
+	b = putI(b, len(r.Pages))
+	for _, p := range r.Pages {
+		b = putI(b, p.Page)
+		b = putI32(b, p.Proto)
+		b = binary.LittleEndian.AppendUint64(b, p.Sum)
+		b = putI(b, len(p.Data))
+		if len(p.Data) > 0 {
+			payloads = append(payloads, p.Data)
+		}
+	}
+	return b, payloads
+}
+
+func ckptPutDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := ckptPut{From: r.Int(), Step: int64(r.Uvarint())}
+	np := r.Count(11)
+	pageLens := make([]int, np)
+	if np > 0 {
+		m.Pages = make([]ckptPage, np)
+		for i := range m.Pages {
+			m.Pages[i] = ckptPage{Page: r.Int(), Proto: r.I32(), Sum: r.Fixed64()}
+			pageLens[i] = r.Int()
+		}
+	}
+	for i := range m.Pages {
+		m.Pages[i].Data = r.Bytes(pageLens[i])
+	}
+	return closed(r, m)
+}
+
+func recArriveAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(recArrive)
+	b = putI(b, r.Node)
+	b = putU(b, uint64(r.OwnCommitted))
+	b = putU(b, uint64(r.OwnPending))
+	b = putU(b, uint64(r.RepCommitted))
+	b = putU(b, uint64(r.RepPending))
+	return b, payloads
+}
+
+func recArriveDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := recArrive{Node: r.Int(), OwnCommitted: int64(r.Uvarint()), OwnPending: int64(r.Uvarint()),
+		RepCommitted: int64(r.Uvarint()), RepPending: int64(r.Uvarint())}
+	return closed(r, m)
+}
+
+func recReleaseAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(recRelease)
+	b = putU(b, uint64(r.Step))
+	b = putI(b, len(r.Restorer))
+	for _, rk := range r.Restorer {
+		b = putI(b, rk)
+	}
+	return b, payloads
+}
+
+func recReleaseDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := recRelease{Step: int64(r.Uvarint())}
+	if n := r.Count(1); n > 0 {
+		m.Restorer = make([]int, n)
+		for i := range m.Restorer {
+			m.Restorer[i] = r.Int()
+		}
+	}
+	return closed(r, m)
+}
+
+func recProtoArriveAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(recProtoArrive)
+	b = putI(b, r.Node)
+	b = putSwitches(b, r.Switches)
+	return b, payloads
+}
+
+func recProtoArriveDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := recProtoArrive{Node: r.Int()}
+	m.Switches = readSwitches(r)
+	return closed(r, m)
+}
+
+func recProtoReleaseAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	return putSwitches(b, m.(recProtoRelease).Switches), payloads
+}
+
+func recProtoReleaseDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := recProtoRelease{Switches: readSwitches(r)}
+	return closed(r, m)
 }

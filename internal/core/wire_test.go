@@ -2,44 +2,20 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
+	"sort"
 	"testing"
 
 	"adsm/internal/transport"
 )
 
-// gobRoundTrip pushes m through the transport's gob escape path — encode
-// to the wire form, gob over a fresh stream, decode back — exactly as a
-// tcp frame with the bodyGob kind travels.
-func gobRoundTrip(t testing.TB, m transport.Msg) transport.Msg {
-	t.Helper()
-	v, err := transport.EncodeMsg(m)
-	if err != nil {
-		t.Fatalf("%T: EncodeMsg: %v", m, err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		t.Fatalf("%T: gob encode: %v", m, err)
-	}
-	var out any
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("%T: gob decode: %v", m, err)
-	}
-	m2, err := transport.DecodeMsg(out)
-	if err != nil {
-		t.Fatalf("%T: DecodeMsg: %v", m, err)
-	}
-	return m2
-}
-
-// binaryRoundTrip pushes m through its hand-rolled binary codec — the
-// frame body a tcp frame with the bodyBinary kind carries.
+// binaryRoundTrip pushes m through its codec — the frame body a tcp frame
+// carries — and decodes it back via the frozen wire id.
 func binaryRoundTrip(t testing.TB, m transport.Msg) transport.Msg {
 	t.Helper()
 	body, ok := transport.WireBody(m)
 	if !ok {
-		t.Fatalf("%T has no binary codec", m)
+		t.Fatalf("%T has no codec", m)
 	}
 	id, ok := transport.WireIDOf(m)
 	if !ok {
@@ -56,64 +32,64 @@ func binaryRoundTrip(t testing.TB, m transport.Msg) transport.Msg {
 	return m2
 }
 
-// TestBinaryRoundTripMatchesGob is the property pinning the binary wire
-// format to the gob escape path it replaced: for every registered core
-// message, decoding the binary encoding must yield a message deeply equal
-// to what a gob round trip yields — same values, same nil-versus-empty
-// slice shapes, same rebuilt interval back-pointers. Messages without
-// binary hooks only take the gob trip (and the test asserts the fallback
-// population is non-empty, so the escape op always has traffic in the
-// equivalence suites). Zero-value edge samples ride along to pin the
-// empty-message encodings.
-func TestBinaryRoundTripMatchesGob(t *testing.T) {
-	samples := msgSamples()
-	edges := []transport.Msg{
-		pageReq{}, pageResp{}, diffReq{}, diffResp{},
-		spanFetchReq{}, spanFetchResp{}, ownReq{}, ownResp{},
-		swOwnReq{}, swOwnGrant{}, barArrive{}, barRelease{},
-		regionReadReq{}, regionReadResp{}, regionSpanReq{}, regionSpanResp{},
-		ownBatchReq{}, ownBatchResp{},
-	}
-	for _, m := range edges {
-		name := reflect.TypeOf(m).Name()
-		samples[name] = append(samples[name], m)
-	}
-
-	binary, gobOnly := 0, 0
-	for name, msgs := range samples {
+// TestBinaryRoundTrip pins decode∘encode to the identity for every
+// registered core message: decoding a sample's encoding must yield a
+// message deeply equal to the sample — same values, same nil slices
+// (samples spell empty slices as nil, the shape every decoder produces),
+// same rebuilt interval back-pointers. Each codec's zero-value sample
+// rides along to pin the empty-message encodings.
+func TestBinaryRoundTrip(t *testing.T) {
+	for name, msgs := range allSamples() {
 		for i, m := range msgs {
-			viaGob := gobRoundTrip(t, m)
-			if !reflect.DeepEqual(viaGob, m) {
-				t.Errorf("%s[%d]: gob round trip changed the message:\n got %#v\nwant %#v",
-					name, i, viaGob, m)
-			}
-			if _, ok := transport.WireIDOf(m); !ok {
-				gobOnly++
-				continue
-			}
-			binary++
-			viaBinary := binaryRoundTrip(t, m)
-			if !reflect.DeepEqual(viaBinary, viaGob) {
-				t.Errorf("%s[%d]: binary and gob round trips disagree:\n binary %#v\n    gob %#v",
-					name, i, viaBinary, viaGob)
+			if got := binaryRoundTrip(t, m); !reflect.DeepEqual(got, m) {
+				t.Errorf("%s[%d]: round trip changed the message:\n got %#v\nwant %#v",
+					name, i, got, m)
 			}
 		}
 	}
-	if binary == 0 {
-		t.Error("no message exercised the binary wire path")
-	}
-	if gobOnly == 0 {
-		t.Error("no message exercised the gob fallback path")
-	}
 }
 
-// fuzzWireCodec drives one binary codec with arbitrary frame bodies,
-// seeded with the canonical encodings of the sample messages. Two
-// properties must hold: malformed input returns an error without
-// panicking, and any accepted input decodes to a message whose own
-// re-encoding is a fixed point (encode∘decode stable, Size() equal to the
-// encoded length) — so a frame that survives validation can be relayed
-// byte-identically.
+// FuzzWire drives every codec with arbitrary frame bodies. The first byte
+// of the input picks the codec by its frozen wire id, the rest is the
+// body; the seeds are, per codec in wire-id order, every sample's
+// encoding, the empty body and an overlong varint. Two properties must
+// hold: malformed input returns an error without panicking, and any
+// accepted input decodes to a message whose own re-encoding is a fixed
+// point (encode∘decode stable, Size() equal to the encoded length) — so a
+// frame that survives validation can be relayed byte-identically.
+func FuzzWire(f *testing.F) {
+	samples := msgSamples()
+	codecs := transport.Codecs()
+	sort.Slice(codecs, func(i, j int) bool { return codecs[i].Name < codecs[j].Name })
+	for _, c := range codecs {
+		id, _ := transport.WireIDOf(c.Msg)
+		if id > 255 {
+			f.Fatalf("codec %q has wire id %d, beyond the one-byte selector", c.Name, id)
+		}
+		for _, m := range samples[c.Name] {
+			body, _ := transport.WireBody(m)
+			f.Add(append([]byte{byte(id)}, body...))
+		}
+		f.Add([]byte{byte(id)})
+		f.Add([]byte{byte(id), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		codec, ok := transport.WireCodecByID(uint16(in[0]))
+		if !ok {
+			return
+		}
+		checkWireFixedPoint(t, codec, in[1:])
+	})
+}
+
+// fuzzWireCodec drives one codec alone with arbitrary frame bodies, seeded
+// with its samples' encodings, the empty body and an overlong varint; the
+// properties are FuzzWire's. The per-codec targets below keep a focused
+// fuzzing entry point for the variable-length responses, whose decoders do
+// the most bounds checking.
 func fuzzWireCodec(f *testing.F, name string) {
 	var codec transport.Codec
 	for _, c := range transport.Codecs() {
@@ -134,28 +110,7 @@ func fuzzWireCodec(f *testing.F, name string) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		m1, err := codec.DecodeWire(body)
-		if err != nil {
-			return
-		}
-		b1, ok := transport.WireBody(m1)
-		if !ok {
-			t.Fatalf("decoded %T lost its binary codec", m1)
-		}
-		if m1.Size() != len(b1) {
-			t.Fatalf("Size()=%d but encoding is %d bytes", m1.Size(), len(b1))
-		}
-		m2, err := codec.DecodeWire(b1)
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
-		}
-		b2, _ := transport.WireBody(m2)
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("encoding not a fixed point:\n b1 %x\n b2 %x", b1, b2)
-		}
-		if !reflect.DeepEqual(m1, m2) {
-			t.Fatalf("decode of own encoding changed the message:\n m1 %#v\n m2 %#v", m1, m2)
-		}
+		checkWireFixedPoint(t, codec, body)
 	})
 }
 
@@ -163,6 +118,35 @@ func FuzzDiffRespWire(f *testing.F)       { fuzzWireCodec(f, "diffResp") }
 func FuzzSpanFetchRespWire(f *testing.F)  { fuzzWireCodec(f, "spanFetchResp") }
 func FuzzRegionReadRespWire(f *testing.F) { fuzzWireCodec(f, "regionReadResp") }
 func FuzzRegionSpanRespWire(f *testing.F) { fuzzWireCodec(f, "regionSpanResp") }
+
+// checkWireFixedPoint decodes body with codec; a rejection is fine, but an
+// accepted body must re-encode to a fixed point that decodes to an equal
+// message, with Size() equal to the encoded length.
+func checkWireFixedPoint(t *testing.T, codec transport.Codec, body []byte) {
+	t.Helper()
+	m1, err := codec.DecodeWire(body)
+	if err != nil {
+		return
+	}
+	b1, ok := transport.WireBody(m1)
+	if !ok {
+		t.Fatalf("decoded %T lost its codec", m1)
+	}
+	if m1.Size() != len(b1) {
+		t.Fatalf("%s: Size()=%d but encoding is %d bytes", codec.Name, m1.Size(), len(b1))
+	}
+	m2, err := codec.DecodeWire(b1)
+	if err != nil {
+		t.Fatalf("%s: re-decode of canonical encoding failed: %v", codec.Name, err)
+	}
+	b2, _ := transport.WireBody(m2)
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("%s: encoding not a fixed point:\n b1 %x\n b2 %x", codec.Name, b1, b2)
+	}
+	if !reflect.DeepEqual(m1, m2) {
+		t.Fatalf("%s: decode of own encoding changed the message:\n m1 %#v\n m2 %#v", codec.Name, m1, m2)
+	}
+}
 
 // TestRegionMessagesMirrorHandlerSizes pins the count-equivalence design of
 // the one-sided path: a served region read must charge the traffic counters

@@ -129,9 +129,9 @@ type TransportCheck struct {
 // and the in-process TCP mesh for every given protocol and asserts
 // identical checksums; for the timing-independent protocols (MW, HLRC) it
 // additionally asserts identical message and byte counts. Optional
-// mutators are applied to the TCP side's config only — the forced-gob
-// smoke uses one to run the whole mesh over escape frames and show the
-// protocol result does not depend on the frame encoding.
+// mutators are applied to the TCP side's config only — the single-lane
+// and no-one-sided pins use them to show the protocol result does not
+// depend on the mesh layout.
 func TransportEquivalence(procs int, protos []adsm.Protocol, tcpMut ...func(*adsm.Config)) ([]TransportCheck, error) {
 	var out []TransportCheck
 	for _, proto := range protos {

@@ -29,37 +29,6 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 }
 
-// TestTransportEquivalenceForcedGob reruns the countable protocols with
-// every tcp frame forced through the gob escape encoding: checksums and
-// protocol-level counts must match the simulator exactly as they do with
-// the binary codecs, pinning that the frame encoding never leaks into
-// protocol behavior. The wire counters must still report real traffic —
-// and more real bytes than the binary format needs for the same run.
-func TestTransportEquivalenceForcedGob(t *testing.T) {
-	forceGob := func(c *adsm.Config) { c.TCP.ForceGob = true }
-	forced, err := TransportEquivalence(4, []adsm.Protocol{adsm.MW, adsm.HLRC}, forceGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary, err := TransportEquivalence(4, []adsm.Protocol{adsm.MW, adsm.HLRC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range forced {
-		if c.TCP.Stats.WireFrames == 0 || c.TCP.Stats.WireBytes == 0 {
-			t.Errorf("%v: wire counters empty under forced gob", c.Proto)
-		}
-		b := binary[i]
-		if c.TCP.Stats.WireBytes <= b.TCP.Stats.WireBytes {
-			t.Errorf("%v: forced gob moved %d wire bytes, binary %d — expected gob to cost more",
-				c.Proto, c.TCP.Stats.WireBytes, b.TCP.Stats.WireBytes)
-		}
-		t.Logf("%v: checksum %v; wire bytes %d gob vs %d binary (%.1f%% saved)",
-			c.Proto, c.TCPSum, c.TCP.Stats.WireBytes, b.TCP.Stats.WireBytes,
-			100*(1-float64(b.TCP.Stats.WireBytes)/float64(c.TCP.Stats.WireBytes)))
-	}
-}
-
 // TestTransportEquivalenceSingleLane reruns the countable protocols on the
 // classic single-connection-per-pair mesh (no bulk lane, no region lane):
 // lane multiplexing and the one-sided read path are transport-level

@@ -14,11 +14,22 @@ import (
 // treg is a region-classed test message: it rides the region lane.
 type treg struct{ N int }
 
-func (m treg) Size() int { return 8 }
+func (m treg) Size() int { return transport.UvarintLen(uint64(m.N)) }
 
 func init() {
 	transport.MustRegisterCodec(transport.Codec{Name: "tcptest.treg", Msg: treg{},
-		Class: transport.ClassRegion})
+		Class: transport.ClassRegion,
+		AppendWire: func(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+			return transport.AppendUvarint(b, uint64(m.(treg).N)), payloads
+		},
+		DecodeWire: func(body []byte) (transport.Msg, error) {
+			r := transport.NewWireReader(body)
+			m := treg{N: r.Int()}
+			if err := r.Close(); err != nil {
+				return nil, err
+			}
+			return m, nil
+		}})
 }
 
 // dropFrom is a FaultInjector silencing every frame a set of nodes sends —

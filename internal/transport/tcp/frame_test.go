@@ -2,17 +2,17 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"adsm/internal/transport"
 )
 
-// bmsg is a registered test message with binary wire hooks: varint
-// metadata plus a raw payload section, the same shape as the protocol's
-// page and diff carriers. Registered in init (before any transport use),
-// so it gets a frozen wire id like the real hot messages.
+// bmsg is a registered test message: varint metadata plus a raw payload
+// section, the same shape as the protocol's page and diff carriers.
+// Registered in init (before any transport use), so it gets a frozen wire
+// id like the protocol messages.
 type bmsg struct {
 	N    int
 	Data []byte
@@ -50,9 +50,9 @@ func init() {
 
 // roundTripFrame encodes f, writes it through the vectored-write path into
 // a buffer, and reads it back — the full framing path minus the socket.
-func roundTripFrame(t testing.TB, f *frame, forceGob bool) *frame {
+func roundTripFrame(t testing.TB, f *frame) *frame {
 	t.Helper()
-	of, err := encodeFrame(f, forceGob)
+	of, err := encodeFrame(f)
 	if err != nil {
 		t.Fatalf("encodeFrame: %v", err)
 	}
@@ -74,41 +74,73 @@ func roundTripFrame(t testing.TB, f *frame, forceGob bool) *frame {
 }
 
 // TestFrameRoundTripKinds pins the frame format for every body kind: a
-// binary-coded message, the same message forced through the gob escape, a
-// gob-only message, an error reply, a hello handshake and a bodiless bye
-// must all survive encode→vectored write→read with every header field and
-// the message value intact.
+// message with a payload section, an empty message, an error reply, a
+// hello handshake and a bodiless bye must all survive encode→vectored
+// write→read with every header field and the message value intact. A
+// frame with the retired body kind 2, an unknown wire id or a truncated
+// hello must be refused with an error.
 func TestFrameRoundTripKinds(t *testing.T) {
 	payload := make([]byte, 4096)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	cases := []struct {
-		name     string
-		f        *frame
-		forceGob bool
+		name string
+		f    *frame
 	}{
 		{"binary", &frame{Op: opCall, From: 1, To: 2, Origin: 1, CallID: 77, Idx: 3,
-			M: bmsg{N: 9000, Data: payload}}, false},
+			M: bmsg{N: 9000, Data: payload}}},
 		{"binary-empty", &frame{Op: opReply, From: 2, To: 1, Origin: 1, CallID: 78,
-			M: bmsg{}}, false},
-		{"forced-gob", &frame{Op: opCall, From: 1, To: 2, Origin: 1, CallID: 79,
-			M: bmsg{N: 5, Data: []byte("abc")}}, true},
-		{"gob-fallback", &frame{Op: opReply, From: 0, To: 3, Origin: 3, CallID: 80, Idx: 1,
-			M: tmsg{N: 42, S: "hello"}}, false},
+			M: bmsg{}}},
 		{"err", &frame{Op: opReply, From: 0, To: 1, Origin: 1, CallID: 81,
-			Err: "tcp: something broke"}, false},
+			Err: "tcp: something broke"}},
 		{"hello", &frame{Op: opHello, From: 4, To: 0, Tag: "sor/mw/8",
-			Digest: 0xdeadbeefcafe}, false},
+			Digest: 0xdeadbeefcafe}},
 		{"hello-reject", &frame{Op: opHello, From: 4, To: 0, Tag: "sor/mw/8",
-			Digest: 1, Err: "mismatch"}, false},
-		{"bye", &frame{Op: opBye, From: 1, To: 2}, false},
+			Digest: 1, Err: "mismatch"}},
+		{"bye", &frame{Op: opBye, From: 1, To: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := roundTripFrame(t, tc.f, tc.forceGob)
+			got := roundTripFrame(t, tc.f)
 			if !reflect.DeepEqual(got, tc.f) {
 				t.Errorf("frame changed in round trip:\n got %+v\nwant %+v", got, tc.f)
+			}
+		})
+	}
+
+	// The refused frames are valid frames with their header patched (a
+	// hello is cut short: its fixed 8-byte fields must not be read past
+	// the end of the body).
+	msg := &frame{Op: opCall, From: 1, To: 2, CallID: 82, M: tmsg{N: 42, S: "hello"}}
+	hello := &frame{Op: opHello, From: 4, To: 0, Tag: "sor/mw/8", Digest: 7}
+	refused := []struct {
+		name  string
+		f     *frame
+		patch func(wire []byte) []byte
+	}{
+		{"retired-kind-2", msg, func(wire []byte) []byte { wire[5] = 2; return wire }},
+		{"unknown-wire-id", msg, func(wire []byte) []byte {
+			binary.LittleEndian.PutUint16(wire[6:], 0xffff)
+			return wire
+		}},
+		{"truncated-hello", hello, func(wire []byte) []byte {
+			binary.LittleEndian.PutUint32(wire[0:], 12)
+			return wire[:headerLen+12]
+		}},
+	}
+	for _, tc := range refused {
+		t.Run(tc.name, func(t *testing.T) {
+			of, err := encodeFrame(tc.f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := writeOut(&buf, of); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := readFrame(bytes.NewReader(tc.patch(buf.Bytes()))); err == nil {
+				t.Errorf("readFrame accepted the frame: %+v", f)
 			}
 		})
 	}
@@ -127,14 +159,14 @@ func TestBinaryFrameEncodeAllocs(t *testing.T) {
 	f := &frame{Op: opCall, From: 1, To: 2, Origin: 1, CallID: 1, M: bmsg{N: 7, Data: payload}}
 	// Warm the pool and the iovec capacity.
 	for i := 0; i < 8; i++ {
-		of, err := encodeFrame(f, false)
+		of, err := encodeFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		of.fb.recycle()
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		of, err := encodeFrame(f, false)
+		of, err := encodeFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,51 +177,18 @@ func TestBinaryFrameEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestForceGobMesh runs a real loopback mesh with ForceGob set: messages
-// that have binary codecs must transparently travel in gob escape frames
-// and arrive intact — the knob the CI fallback smoke turns.
-func TestForceGobMesh(t *testing.T) {
-	rt, err := New(Options{Procs: 2, ForceGob: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Register(0, func(c transport.Call, from int, m transport.Msg) { c.Reply(m) })
-	rt.Register(1, func(c transport.Call, from int, m transport.Msg) {
-		r := m.(bmsg)
-		c.Reply(bmsg{N: r.N + 1, Data: r.Data})
-	})
-	var ok atomic.Bool
-	rt.Spawn(0, "n0", func(p transport.Proc) {
-		r := rt.Call(p, 1, bmsg{N: 1, Data: []byte{0xaa, 0xbb}}).(bmsg)
-		if r.N != 2 || !bytes.Equal(r.Data, []byte{0xaa, 0xbb}) {
-			t.Errorf("forced-gob call returned %+v", r)
-		}
-		ok.Store(true)
-	})
-	rt.Spawn(1, "n1", func(p transport.Proc) {})
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok.Load() {
-		t.Fatal("body did not complete")
-	}
-	if rt.WireFrames() == 0 || rt.WireBytes() == 0 {
-		t.Errorf("wire counters empty: %d frames, %d bytes", rt.WireFrames(), rt.WireBytes())
-	}
-}
+// The encode/decode microbenchmarks CI runs to keep the frame path honest
+// (report with -benchmem: an encode is allocation-free; a decode
+// allocates the frame blob and the message).
 
-// The encode/decode microbenchmarks CI runs to keep the binary path honest
-// against the gob escape it replaced (report with -benchmem to see the
-// allocation gap).
-
-func benchmarkEncode(b *testing.B, forceGob bool) {
+func BenchmarkFrameEncodeBinary(b *testing.B) {
 	payload := make([]byte, 4096)
 	f := &frame{Op: opCall, From: 1, To: 2, Origin: 1, CallID: 1, M: bmsg{N: 7, Data: payload}}
 	b.SetBytes(int64(headerLen + bmsg{N: 7, Data: payload}.Size()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		of, err := encodeFrame(f, forceGob)
+		of, err := encodeFrame(f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,13 +196,10 @@ func benchmarkEncode(b *testing.B, forceGob bool) {
 	}
 }
 
-func BenchmarkFrameEncodeBinary(b *testing.B) { benchmarkEncode(b, false) }
-func BenchmarkFrameEncodeGob(b *testing.B)    { benchmarkEncode(b, true) }
-
-func benchmarkDecode(b *testing.B, forceGob bool) {
+func BenchmarkFrameDecodeBinary(b *testing.B) {
 	payload := make([]byte, 4096)
 	f := &frame{Op: opCall, From: 1, To: 2, Origin: 1, CallID: 1, M: bmsg{N: 7, Data: payload}}
-	of, err := encodeFrame(f, forceGob)
+	of, err := encodeFrame(f)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -221,6 +217,3 @@ func benchmarkDecode(b *testing.B, forceGob bool) {
 		}
 	}
 }
-
-func BenchmarkFrameDecodeBinary(b *testing.B) { benchmarkDecode(b, false) }
-func BenchmarkFrameDecodeGob(b *testing.B)    { benchmarkDecode(b, true) }

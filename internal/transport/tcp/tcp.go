@@ -1,8 +1,7 @@
 // Package tcp implements the transport seam over real TCP connections:
 // each node is a goroutine-or-process endpoint speaking binary frames (a
-// fixed 32-byte header plus a hand-rolled binary body for hot messages,
-// with a gob escape frame for the rest) over net.Conn. One Runtime
-// instance hosts one or more nodes;
+// fixed 32-byte header plus a body encoded by the message's registered
+// codec) over net.Conn. One Runtime instance hosts one or more nodes;
 // hosting all nodes in one process gives an in-process loopback mesh
 // (every pair of nodes still talks through a real socket), hosting a
 // subset gives one endpoint of a genuine multi-process deployment (the
@@ -21,9 +20,7 @@ package tcp
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -90,11 +87,6 @@ type Options struct {
 	// Faults, when non-nil, perturbs outgoing frames (drop/delay) for
 	// fault-injection tests. See FaultInjector.
 	Faults FaultInjector
-	// ForceGob carries every message in the gob escape frame instead of
-	// its binary codec — the debugging/CI knob that exercises the fallback
-	// path end to end. Mixed meshes interoperate (the body kind is per
-	// frame), so one endpoint forcing gob does not require the others to.
-	ForceGob bool
 }
 
 // frame ops.
@@ -113,27 +105,23 @@ const (
 	laneBulk    = 1
 )
 
-// body kinds: how the bytes after the fixed header are encoded.
+// body kinds: how the bytes after the fixed header are encoded. Kind 2
+// is retired; a frame carrying it is refused like any unknown kind.
 const (
-	bodyNone   = iota // no body (bye)
-	bodyBinary        // hand-rolled binary codec; header names it by wire id
-	bodyGob           // the escape op: gob of the message's wire value
-	bodyErr           // a transport-level failure string (error reply)
-	bodyHello         // handshake: tag + codec digest + epoch + lease + error
+	bodyNone   = 0 // no body (bye)
+	bodyBinary = 1 // a message, encoded by its codec; header names it by wire id
+	bodyErr    = 3 // a transport-level failure string (error reply)
+	bodyHello  = 4 // handshake: tag + codec digest + epoch + lease + error
 )
 
 // The unit on the wire is a fixed 32-byte binary header followed by a
-// body. Hot messages (those with AppendWire/DecodeWire hooks) travel as
-// bodyBinary: varint metadata followed by the raw payload bytes, written
-// to the socket as one vectored write (net.Buffers) so a page's 4 KB
-// never passes through an intermediate copy. Messages without binary
-// hooks fall back transparently to a bodyGob escape frame — a fresh gob
-// encoding of their wire value — so the two formats coexist per frame
-// and every protocol keeps working regardless of which messages have
-// binary codecs. Header layout, little-endian:
+// body. Every message travels as bodyBinary: its codec's varint metadata
+// followed by the raw payload bytes, written to the socket as one
+// vectored write (net.Buffers) so a page's 4 KB never passes through an
+// intermediate copy. Header layout, little-endian:
 //
 //	[0:4)   body length
-//	[4]     op (hello/call/reply/bye)
+//	[4]     op (hello/call/reply/bye/ping)
 //	[5]     body kind
 //	[6:8)   wire id (bodyBinary only; see transport.WireIDOf)
 //	[8:12)  from node
@@ -171,7 +159,7 @@ type frame struct {
 // socket write completes — never earlier, because bufs aliases message
 // payloads and b is the frame being sent.
 type frameBuf struct {
-	b    []byte      // header + metadata (or the full gob/err/hello body)
+	b    []byte      // header + metadata (or the full err/hello body)
 	bufs net.Buffers // [0] = b, then the payload slices
 }
 
@@ -195,20 +183,10 @@ type outFrame struct {
 	wire int // total bytes that will hit the socket (header + body)
 }
 
-// appendWriter adapts gob's stream interface to an append buffer.
-type appendWriter struct{ b *[]byte }
-
-func (w appendWriter) Write(p []byte) (int, error) {
-	*w.b = append(*w.b, p...)
-	return len(p), nil
-}
-
-// encodeFrame renders f into a pooled buffer. On the binary hot path it
-// performs zero steady-state allocations: header and metadata go into the
-// pooled buffer, payload slices are referenced, not copied. forceGob
-// routes every message through the gob escape frame (the debugging/CI
-// knob that exercises the fallback).
-func encodeFrame(f *frame, forceGob bool) (outFrame, error) {
+// encodeFrame renders f into a pooled buffer. It performs zero
+// steady-state allocations: header and metadata go into the pooled
+// buffer, payload slices are referenced, not copied.
+func encodeFrame(f *frame) (outFrame, error) {
 	fb := framePool.Get().(*frameBuf)
 	b := fb.b[:headerLen]
 	bufs := append(fb.bufs[:0], nil) // slot 0 reserved for header+metadata
@@ -216,26 +194,14 @@ func encodeFrame(f *frame, forceGob bool) (outFrame, error) {
 	var wireID uint16
 	switch {
 	case f.M != nil:
-		c, ok := transport.CodecOf(f.M)
+		id, ok := transport.WireIDOf(f.M)
 		if !ok {
 			fb.recycle()
 			return outFrame{}, fmt.Errorf("tcp: message %T has no registered codec", f.M)
 		}
-		if id, isBin := transport.WireIDOf(f.M); isBin && !forceGob {
-			kind, wireID = bodyBinary, id
-			b, bufs = c.AppendWire(f.M, b, bufs)
-		} else {
-			kind = bodyGob
-			v, err := transport.EncodeMsg(f.M)
-			if err != nil {
-				fb.recycle()
-				return outFrame{}, err
-			}
-			if err := gob.NewEncoder(appendWriter{&b}).Encode(&v); err != nil {
-				fb.recycle()
-				return outFrame{}, err
-			}
-		}
+		c, _ := transport.WireCodecByID(id)
+		kind, wireID = bodyBinary, id
+		b, bufs = c.AppendWire(f.M, b, bufs)
 	case f.Err != "" && f.Op != opHello:
 		kind = bodyErr
 		b = append(b, f.Err...)
@@ -243,13 +209,9 @@ func encodeFrame(f *frame, forceGob bool) (outFrame, error) {
 		kind = bodyHello
 		b = transport.AppendUvarint(b, uint64(len(f.Tag)))
 		b = append(b, f.Tag...)
-		var u64 [8]byte
-		binary.LittleEndian.PutUint64(u64[:], f.Digest)
-		b = append(b, u64[:]...)
-		binary.LittleEndian.PutUint64(u64[:], uint64(f.Epoch))
-		b = append(b, u64[:]...)
-		binary.LittleEndian.PutUint64(u64[:], uint64(f.Lease))
-		b = append(b, u64[:]...)
+		b = binary.LittleEndian.AppendUint64(b, f.Digest)
+		b = binary.LittleEndian.AppendUint64(b, uint64(f.Epoch))
+		b = binary.LittleEndian.AppendUint64(b, uint64(f.Lease))
 		b = transport.AppendUvarint(b, uint64(len(f.Err)))
 		b = append(b, f.Err...)
 	}
@@ -282,9 +244,8 @@ func writeOut(w io.Writer, of outFrame) error {
 	return err
 }
 
-// readFrame reads and decodes one frame. Binary bodies are decoded by
-// slicing the frame blob (the message owns the blob afterwards); gob
-// bodies go through the registered wire-value codec.
+// readFrame reads and decodes one frame. Message bodies are decoded by
+// slicing the frame blob (the message owns the blob afterwards).
 func readFrame(r io.Reader) (*frame, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -322,24 +283,14 @@ func readFrame(r io.Reader) (*frame, error) {
 			return nil, fmt.Errorf("tcp: decoding %s frame: %w", c.Name, err)
 		}
 		f.M = m
-	case bodyGob:
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("tcp: decoding gob frame: %w", err)
-		}
-		m, err := transport.DecodeMsg(v)
-		if err != nil {
-			return nil, err
-		}
-		f.M = m
 	case bodyErr:
 		f.Err = string(body)
 	case bodyHello:
 		wr := transport.NewWireReader(body)
 		f.Tag = string(wr.Bytes(wr.Count(1)))
-		f.Digest = binary.LittleEndian.Uint64(wr.Bytes(8))
-		f.Epoch = int64(binary.LittleEndian.Uint64(wr.Bytes(8)))
-		f.Lease = int64(binary.LittleEndian.Uint64(wr.Bytes(8)))
+		f.Digest = wr.Fixed64()
+		f.Epoch = int64(wr.Fixed64())
+		f.Lease = int64(wr.Fixed64())
 		f.Err = string(wr.Bytes(wr.Count(1)))
 		if err := wr.Close(); err != nil {
 			return nil, fmt.Errorf("tcp: malformed hello: %w", err)
@@ -415,7 +366,6 @@ type Runtime struct {
 	start    time.Time
 	dialT    time.Duration
 	fprnt    string
-	forceGob bool
 	lanes    int  // data lanes per ordered pair (1 or 2)
 	oneSided bool // region lane present (lane index == lanes)
 	nlanes   int  // total connections per ordered pair
@@ -525,7 +475,6 @@ func New(o Options) (*Runtime, error) {
 		start:     time.Now(),
 		dialT:     dialT,
 		fprnt:     o.Fingerprint,
-		forceGob:  o.ForceGob,
 		lanes:     lanes,
 		oneSided:  o.OneSided,
 		nlanes:    nlanes,
@@ -651,7 +600,7 @@ func (rt *Runtime) connectMesh() error {
 						atomic.CompareAndSwapInt64(&rt.epoch, -1, hello.Epoch)
 					}
 					ack.Epoch = atomic.LoadInt64(&rt.epoch)
-					if of, err := encodeFrame(ack, rt.forceGob); err == nil {
+					if of, err := encodeFrame(ack); err == nil {
 						writeOut(conn, of)
 					}
 					if ack.Err != "" {
@@ -750,7 +699,7 @@ func (rt *Runtime) dialLane(id, peer, lane int) (e *end, fatal bool, err error) 
 	}
 	of, err := encodeFrame(&frame{Op: opHello, From: id, To: peer, Idx: lane,
 		Tag: rt.fprnt, Digest: transport.WireDigest(),
-		Epoch: atomic.LoadInt64(&rt.epoch), Lease: int64(rt.lease)}, rt.forceGob)
+		Epoch: atomic.LoadInt64(&rt.epoch), Lease: int64(rt.lease)})
 	if err == nil {
 		err = writeOut(conn, of)
 	}
@@ -963,7 +912,7 @@ func (e *end) regionLoop() {
 				resp = nil // fall back uncharged; requester retries via the handler path
 			}
 			rf := &frame{Op: opReply, From: e.owner, To: f.From, Origin: f.From, CallID: f.CallID, Idx: idx, M: resp}
-			of, err := encodeFrame(rf, rt.forceGob)
+			of, err := encodeFrame(rf)
 			if err != nil {
 				rt.fail(fmt.Errorf("tcp: node %d encoding region reply to node %d: %v", e.owner, f.From, err))
 				return
@@ -1058,7 +1007,7 @@ func (rt *Runtime) completeLocked(id uint64, idx int, m transport.Msg, err error
 
 // laneOf selects the data lane for a message: bulk-class payload replies
 // go to the bulk lane when it exists, everything else (requests, barrier
-// and lock traffic, gob escapes, error replies) stays on the control lane
+// and lock traffic, home flushes, error replies) stays on the control lane
 // so per-pair control ordering is a single FIFO connection.
 func (rt *Runtime) laneOf(m transport.Msg) int {
 	if rt.lanes > 1 && transport.ClassOf(m) == transport.ClassBulk {
@@ -1086,7 +1035,7 @@ func (rt *Runtime) sendLocked(f *frame, m transport.Msg) {
 		rt.bytes[f.From] += int64(m.Size() + transport.HeaderBytes)
 	}
 	start := time.Now()
-	of, err := encodeFrame(f, rt.forceGob)
+	of, err := encodeFrame(f)
 	if err != nil {
 		panic(fmt.Sprintf("tcp: encoding frame from node %d to node %d: %v", f.From, f.To, err))
 	}
@@ -1388,7 +1337,7 @@ func (rt *Runtime) OneSidedRead(p transport.Proc, to int, req transport.Msg) (tr
 	rt.regMu.Unlock()
 	f := &frame{Op: opCall, From: from, To: to, Origin: from, CallID: id, M: req}
 	start := time.Now()
-	of, err := encodeFrame(f, rt.forceGob)
+	of, err := encodeFrame(f)
 	if err != nil {
 		panic(fmt.Sprintf("tcp: encoding region read from node %d to node %d: %v", from, to, err))
 	}
@@ -1520,7 +1469,7 @@ func (rt *Runtime) heartbeat() {
 			if e.lane != laneControl || e.sawBye() {
 				return
 			}
-			if of, err := encodeFrame(&frame{Op: opPing, From: e.owner, To: e.peer}, rt.forceGob); err == nil {
+			if of, err := encodeFrame(&frame{Op: opPing, From: e.owner, To: e.peer}); err == nil {
 				e.enqueue(of)
 			}
 		})
@@ -1578,7 +1527,7 @@ func (rt *Runtime) Epoch() int64 { return atomic.LoadInt64(&rt.epoch) }
 func (rt *Runtime) goodbye() {
 	deadline := time.Now().Add(rt.dialT)
 	rt.eachEnd(func(e *end) {
-		if of, err := encodeFrame(&frame{Op: opBye, From: e.owner, To: e.peer}, rt.forceGob); err == nil {
+		if of, err := encodeFrame(&frame{Op: opBye, From: e.owner, To: e.peer}); err == nil {
 			e.enqueue(of)
 		}
 	})

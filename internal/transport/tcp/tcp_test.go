@@ -9,27 +9,59 @@ import (
 	"adsm/internal/transport"
 )
 
-// tmsg is a registered test message.
+// tmsg is a registered test message: an int and a string, both in the
+// metadata section.
 type tmsg struct {
 	N int
 	S string
 }
 
-func (m tmsg) Size() int { return 8 + len(m.S) }
+func (m tmsg) Size() int {
+	return transport.UvarintLen(uint64(m.N)) + transport.UvarintLen(uint64(len(m.S))) + len(m.S)
+}
+
+func tmsgAppendWire(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+	r := m.(tmsg)
+	b = transport.AppendUvarint(b, uint64(r.N))
+	b = transport.AppendUvarint(b, uint64(len(r.S)))
+	return append(b, r.S...), payloads
+}
+
+func tmsgDecodeWire(body []byte) (transport.Msg, error) {
+	r := transport.NewWireReader(body)
+	m := tmsg{N: r.Int()}
+	m.S = string(r.Bytes(r.Count(1)))
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // tbulk is a bulk-classed test message: it rides the bulk lane on a
-// multiplexed mesh, exactly like a page or diff payload.
+// multiplexed mesh, exactly like a page or diff payload. It shares bmsg's
+// encoding (frame_test.go).
 type tbulk struct {
 	N    int
 	Data []byte
 }
 
-func (m tbulk) Size() int { return 8 + len(m.Data) }
+func (m tbulk) Size() int { return bmsg(m).Size() }
 
 func init() {
-	transport.MustRegisterCodec(transport.Codec{Name: "tcptest.tmsg", Msg: tmsg{}})
+	transport.MustRegisterCodec(transport.Codec{Name: "tcptest.tmsg", Msg: tmsg{},
+		AppendWire: tmsgAppendWire, DecodeWire: tmsgDecodeWire})
 	transport.MustRegisterCodec(transport.Codec{Name: "tcptest.tbulk", Msg: tbulk{},
-		Class: transport.ClassBulk})
+		Class: transport.ClassBulk,
+		AppendWire: func(m transport.Msg, b []byte, payloads [][]byte) ([]byte, [][]byte) {
+			return bmsgAppendWire(bmsg(m.(tbulk)), b, payloads)
+		},
+		DecodeWire: func(body []byte) (transport.Msg, error) {
+			m, err := bmsgDecodeWire(body)
+			if err != nil {
+				return nil, err
+			}
+			return tbulk(m.(bmsg)), nil
+		}})
 }
 
 // mesh builds an in-process runtime hosting all n nodes.

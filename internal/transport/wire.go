@@ -1,8 +1,11 @@
 package transport
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
-// Binary wire primitives shared by every hand-rolled message codec: LEB128
+// Binary wire primitives shared by every message codec: LEB128
 // unsigned varints for integers and length prefixes, and a bounds-checked
 // cursor for decoding. The conventions (documented in the README's wire
 // format section):
@@ -12,7 +15,7 @@ import "fmt"
 //     through uint64 (negative ints round-trip, at 10 bytes — no protocol
 //     field is negative in practice);
 //   - slices are a uvarint count followed by the elements; a zero count
-//     decodes to a nil slice, matching what gob does to empty slices;
+//     decodes to a nil slice, so nil and empty slices encode alike;
 //   - large []byte payloads (pages, diff run data) are declared by length
 //     in the metadata but their bytes live in a payload section after all
 //     metadata, so the transport can hand them to the socket as separate
@@ -85,6 +88,17 @@ func (r *WireReader) Byte() byte {
 	c := r.b[r.off]
 	r.off++
 	return c
+}
+
+// Fixed64 reads eight bytes as a little-endian uint64 (the encoding of
+// fields, like checksums, whose values are spread over the whole range).
+func (r *WireReader) Fixed64() uint64 {
+	b := r.Bytes(8)
+	if len(b) < 8 {
+		r.bad = true
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
 }
 
 // Bool reads one byte as a bool.

@@ -31,7 +31,7 @@ var transportNames = []struct {
 	name, desc string
 }{
 	SimTransport: {"sim", "deterministic discrete-event simulator (virtual time, the paper's cost model)"},
-	TCPTransport: {"tcp", "real TCP runtime: binary frames over net.Conn (gob escape for cold messages), in-process mesh or multi-process peers"},
+	TCPTransport: {"tcp", "real TCP runtime: binary frames over net.Conn, in-process mesh or multi-process peers"},
 }
 
 func (t Transport) String() string {
@@ -101,11 +101,6 @@ type TCPConfig struct {
 	// Peers exchange it in the mesh handshake and refuse to connect on
 	// a mismatch; empty fingerprints always match.
 	Fingerprint string
-	// ForceGob carries every message in the gob escape frame instead of
-	// its binary codec — the debugging/CI knob (dsmrun -wire gob) that
-	// exercises the fallback path end to end. Results are identical
-	// either way; only the framing cost changes.
-	ForceGob bool
 	// Lanes is the number of data connections per ordered node pair:
 	// 1 is the classic single shared connection, 2 (the default, chosen
 	// when this is 0) adds a dedicated bulk lane so large page and diff
@@ -179,7 +174,6 @@ func (cfg Config) runtimeFactory() core.RuntimeFactory {
 			Timescale:   tc.Timescale,
 			DialTimeout: tc.DialTimeout,
 			Fingerprint: tc.Fingerprint,
-			ForceGob:    tc.ForceGob,
 			Lanes:       tc.Lanes,
 			OneSided:    !tc.NoOneSided,
 			Epoch:       tc.Epoch,
