@@ -266,7 +266,9 @@ type Config struct {
 	// HomePolicy selects the page-to-home assignment for the home-based
 	// protocols (default StaticHomes).
 	HomePolicy HomePolicy
-	// SharedBytes bounds the shared segment (default 64 MB).
+	// SharedBytes bounds the shared segment (default 64 MB). It only
+	// limits Alloc: no memory is committed for reserved but unallocated
+	// pages, so a cluster's footprint tracks the data it allocates.
 	SharedBytes int
 	// DiffSpaceLimit is the per-node twin+diff pool size that triggers
 	// garbage collection at the next barrier (default 1 MB).

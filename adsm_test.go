@@ -43,16 +43,16 @@ func TestFloat64Views(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.WFS})
 	base := cl.AllocPageAligned(1024)
 	_, err := cl.Run(func(w *adsm.Worker) {
-		v := w.F64(base, 128)
+		v := adsm.View[float64](base, 128)
 		if w.ID() == 0 {
 			for i := 0; i < 128; i++ {
-				v.Set(i, float64(i)*1.5)
+				v.Set(w, i, float64(i)*1.5)
 			}
 		}
 		w.Barrier()
 		sum := 0.0
 		for i := 0; i < 128; i++ {
-			sum += v.At(i)
+			sum += v.At(w, i)
 		}
 		if want := 1.5 * 127 * 128 / 2; sum != want {
 			t.Errorf("worker %d: sum = %v, want %v", w.ID(), sum, want)
@@ -68,12 +68,12 @@ func TestI64Views(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 2, Protocol: adsm.MW})
 	base := cl.Alloc(256)
 	_, err := cl.Run(func(w *adsm.Worker) {
-		v := w.I64(base, 32)
+		v := adsm.View[int64](base, 32)
 		w.Lock(1)
-		v.Add(3, int64(w.ID()+5))
+		v.Set(w, 3, v.At(w, 3)+int64(w.ID()+5))
 		w.Unlock(1)
 		w.Barrier()
-		if got := v.At(3); got != 11 {
+		if got := v.At(w, 3); got != 11 {
 			t.Errorf("worker %d: v[3] = %d, want 11", w.ID(), got)
 		}
 		w.Barrier()

@@ -23,7 +23,7 @@ type Cluster struct {
 	local  []int // node ids hosted by this runtime instance
 	nodes  []*Node
 
-	npages    int
+	npages    int // the Alloc bound: MaxSharedBytes in pages
 	allocated int
 	allocs    []allocSpan
 	started   bool
@@ -70,7 +70,7 @@ func New(p Params) *Cluster {
 		homes:    p.Home.newAssigner(),
 		npages:   npages,
 		locks:    make(map[int]*mgrLock),
-		detector: newDetector(p.Procs, npages),
+		detector: newDetector(p.Procs, 0),
 	}
 	if p.Runtime != nil {
 		c.rt = p.Runtime(p)
@@ -83,7 +83,8 @@ func New(p Params) *Cluster {
 	c.local = c.rt.LocalNodes()
 	// Node state exists for every node (handlers route by id and the
 	// single-process GC scan reads it), but only hosted nodes register
-	// handlers, get their pages initialized, and execute bodies.
+	// handlers, get their pages initialized, and execute bodies. Page
+	// state is created by Alloc, as allocations cover pages.
 	for i := 0; i < p.Procs; i++ {
 		c.nodes = append(c.nodes, newNode(c, i))
 	}
@@ -183,9 +184,21 @@ func (c *Cluster) Alloc(n int) int {
 	if addr+n > c.npages*mem.PageSize {
 		panic(fmt.Sprintf("dsm: shared segment exhausted (%d + %d > %d)", addr, n, c.npages*mem.PageSize))
 	}
+	c.noteAlloc(addr, n)
+	return addr
+}
+
+// noteAlloc records an allocation and grows every node's page state to
+// cover it.
+func (c *Cluster) noteAlloc(addr, n int) {
+	if c.started {
+		panic("dsm: Alloc after Run")
+	}
 	c.allocated = addr + n
 	c.allocs = append(c.allocs, allocSpan{addr: addr, size: n})
-	return addr
+	for _, nd := range c.nodes {
+		nd.sizePages(c.usedPages())
+	}
 }
 
 // AllocPageAligned reserves n bytes starting on a page boundary.
@@ -197,8 +210,7 @@ func (c *Cluster) AllocPageAligned(n int) int {
 	if addr+n > c.npages*mem.PageSize {
 		panic("dsm: shared segment exhausted")
 	}
-	c.allocated = addr + n
-	c.allocs = append(c.allocs, allocSpan{addr: addr, size: n})
+	c.noteAlloc(addr, n)
 	return addr
 }
 
@@ -211,6 +223,10 @@ func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 		panic("dsm: cluster already ran")
 	}
 	c.started = true
+	// Allocation is frozen from here on, so every per-page table is sized
+	// to the allocated segment once.
+	used := c.usedPages()
+	c.detector.pages = make([]detPage, used)
 	c.homes.Prepare(c)
 	for _, i := range c.local {
 		n := c.nodes[i]
@@ -222,13 +238,13 @@ func (c *Cluster) Run(body func(n *Node)) (transport.Time, error) {
 		c.oneSided = os
 		for _, i := range c.local {
 			n := c.nodes[i]
-			n.region = make([]atomic.Pointer[regionPub], c.npages)
+			n.region = make([]atomic.Pointer[regionPub], used)
 			os.RegisterRegion(i, n.serveRegion)
 			// Publish every initial copy (homes, initial owners): until the
 			// page first mutates, these are exactly what the handler would
 			// serve, so even first-epoch fetches can go one-sided.
-			for pg := 0; pg < c.npages; pg++ {
-				if ps := n.pages[pg]; ps.data != nil {
+			for pg, ps := range n.pages {
+				if ps.data != nil {
 					snap := make([]byte, len(ps.data))
 					copy(snap, ps.data)
 					n.publishRegion(pg, ps, snap, ps.applied.Copy())

@@ -70,7 +70,8 @@ type Params struct {
 	// WGThreshold is the diff size above which WFS+WG switches a page to
 	// SW mode (3 KB).
 	WGThreshold int
-	// MaxSharedBytes bounds the shared segment.
+	// MaxSharedBytes bounds the shared segment. It only limits Alloc: page
+	// state is created as Alloc covers pages, never for the reservation.
 	MaxSharedBytes int
 	// EventLimit aborts runaway simulations (0 = default limit).
 	EventLimit uint64

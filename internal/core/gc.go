@@ -123,8 +123,7 @@ func (n *Node) runGC(hints []gcHint) {
 			// notices are being discarded and every surviving copy came
 			// from a validator that already reflects these writes or from
 			// the owner chain).
-			n.Stats.LiveTwinBytes -= int64(len(ps.twin))
-			ps.twin = nil
+			n.dropTwin(ps)
 			ps.undiffed = nil
 		}
 		ps.pending = ps.pending[:0]

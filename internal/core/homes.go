@@ -219,6 +219,15 @@ func (staticHomes) Prepare(c *Cluster)            {}
 func (staticHomes) Lookup(c *Cluster, pg int) int { return pg % c.params.Procs }
 func (staticHomes) Resolve(n *Node, pg int) int   { return pg % n.c.params.Procs }
 
+// tableHome reads a precomputed home table, which covers the allocated
+// pages; pages beyond it (never accessed) fall back to the static layout.
+func tableHome(homes []int, pg, procs int) int {
+	if pg < len(homes) {
+		return homes[pg]
+	}
+	return pg % procs
+}
+
 // --- round-robin per allocation ---
 
 // rrAllocHomes stripes each allocation's pages over the processors: the
@@ -227,7 +236,7 @@ func (staticHomes) Resolve(n *Node, pg int) int   { return pg % n.c.params.Procs
 type rrAllocHomes struct{ homes []int }
 
 func (h *rrAllocHomes) Prepare(c *Cluster) {
-	h.homes = make([]int, c.npages)
+	h.homes = make([]int, c.usedPages())
 	for i := range h.homes {
 		h.homes[i] = -1
 	}
@@ -249,8 +258,10 @@ func (h *rrAllocHomes) Prepare(c *Cluster) {
 	}
 }
 
-func (h *rrAllocHomes) Lookup(c *Cluster, pg int) int { return h.homes[pg] }
-func (h *rrAllocHomes) Resolve(n *Node, pg int) int   { return h.homes[pg] }
+func (h *rrAllocHomes) Lookup(c *Cluster, pg int) int { return tableHome(h.homes, pg, c.params.Procs) }
+func (h *rrAllocHomes) Resolve(n *Node, pg int) int {
+	return tableHome(h.homes, pg, n.c.params.Procs)
+}
 
 // --- block: contiguous bands ---
 
@@ -262,7 +273,7 @@ type blockHomes struct{ homes []int }
 func (h *blockHomes) Prepare(c *Cluster) {
 	procs := c.params.Procs
 	used := c.usedPages()
-	h.homes = make([]int, c.npages)
+	h.homes = make([]int, used)
 	per, ext := used/procs, used%procs
 	pg := 0
 	for p := 0; p < procs; p++ {
@@ -275,13 +286,12 @@ func (h *blockHomes) Prepare(c *Cluster) {
 			pg++
 		}
 	}
-	for ; pg < c.npages; pg++ {
-		h.homes[pg] = pg % procs
-	}
 }
 
-func (h *blockHomes) Lookup(c *Cluster, pg int) int { return h.homes[pg] }
-func (h *blockHomes) Resolve(n *Node, pg int) int   { return h.homes[pg] }
+func (h *blockHomes) Lookup(c *Cluster, pg int) int { return tableHome(h.homes, pg, c.params.Procs) }
+func (h *blockHomes) Resolve(n *Node, pg int) int {
+	return tableHome(h.homes, pg, n.c.params.Procs)
+}
 
 // --- first touch ---
 
@@ -301,13 +311,14 @@ type firstTouchHomes struct {
 }
 
 func (h *firstTouchHomes) Prepare(c *Cluster) {
-	h.dir = make([]int, c.npages)
+	used := c.usedPages()
+	h.dir = make([]int, used)
 	for i := range h.dir {
 		h.dir[i] = -1
 	}
 	h.cache = make([][]int, c.params.Procs)
 	for p := range h.cache {
-		h.cache[p] = make([]int, c.npages)
+		h.cache[p] = make([]int, used)
 		for i := range h.cache[p] {
 			h.cache[p][i] = -1
 		}

@@ -131,7 +131,7 @@ func TestFirstTouchConcurrentAgreement(t *testing.T) {
 	if h := ft.dir[raced]; h != 1 && h != 2 {
 		t.Errorf("raced page bound to %d, want one of the racers (1 or 2)", h)
 	}
-	for pg := 0; pg < c.npages; pg++ {
+	for pg := range ft.dir {
 		for p := 0; p < procs; p++ {
 			if cached := ft.cache[p][pg]; cached >= 0 && cached != ft.dir[pg] {
 				t.Errorf("node %d cached home %d for page %d, directory says %d",

@@ -89,7 +89,7 @@ func (n *Node) closeInterval() *Interval {
 		n.invalidateRegion(pg, ps)
 		ps.applied.Join(ivc)
 		n.wroteSinceGC[pg] = true
-		if n.ckptDirty != nil {
+		if n.ckpt != nil {
 			n.ckptDirty[pg] = true
 		}
 		n.c.detector.noteWrite(wn)
@@ -202,7 +202,7 @@ var debugIngest func(n *Node, wn *WriteNotice, skipped bool)
 // ingestWN processes one incoming write notice.
 func (n *Node) ingestWN(wn *WriteNotice) {
 	ps := n.pages[wn.Page]
-	if n.ckptDirty != nil {
+	if n.ckpt != nil {
 		// Checkpoint dirty tracking wants every page any node wrote since
 		// our last checkpoint, even notices our copy already subsumes.
 		n.ckptDirty[wn.Page] = true

@@ -109,7 +109,7 @@ func (p *metaPolicy) resolve(c *Cluster) {
 		p.target = id
 	}
 	ad.scanTS = make([]int32, c.params.Procs)
-	ad.pages = make([]adaptPage, c.npages)
+	ad.pages = make([]adaptPage, c.usedPages())
 	for i := range ad.pages {
 		ad.pages[i].proto = p.target
 		ad.pages[i].soloWriter = -1

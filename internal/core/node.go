@@ -86,6 +86,13 @@ type Node struct {
 	wroteSinceGC []bool
 	liveDiffs    int64 // diffs currently cached (created + received)
 
+	// twinFree holds dead twins for makeTwin to reuse. A twin dies when
+	// makeDiff turns it into a diff (MakeDiff copies the run bytes out) or
+	// when GC drops it; nothing else references it after those points.
+	// Guarded like all protocol state: the simulator runs one context at a
+	// time, the tcp runtime holds its state lock around bodies and handlers.
+	twinFree [][]byte
+
 	// Checkpointing (ckpt.go): the node's durable store (nil when
 	// checkpointing is off) and the cluster-dirty page set accumulated
 	// since the node's last checkpoint — its own writes plus every write
@@ -155,36 +162,42 @@ func (n *Node) Compute(d transport.Time) { n.proc.Advance(d) }
 
 func newNode(c *Cluster, id int) *Node {
 	n := &Node{
-		c:            c,
-		id:           id,
-		vclock:       vc.New(c.params.Procs),
-		knownTS:      make([]int32, c.params.Procs),
-		intervals:    make([][]*Interval, c.params.Procs),
-		pages:        make([]*pageState, c.npages),
-		diffCache:    make(map[wnKey]*mem.Diff),
-		wroteSinceGC: make([]bool, c.npages),
-		locks:        make(map[int]*nodeLock),
-		lastGlobal:   make([]int32, c.params.Procs),
+		c:          c,
+		id:         id,
+		vclock:     vc.New(c.params.Procs),
+		knownTS:    make([]int32, c.params.Procs),
+		intervals:  make([][]*Interval, c.params.Procs),
+		diffCache:  make(map[wnKey]*mem.Diff),
+		locks:      make(map[int]*nodeLock),
+		lastGlobal: make([]int32, c.params.Procs),
 	}
 	if c.params.CkptStores != nil {
-		if n.ckpt = c.params.CkptStores(id); n.ckpt != nil {
-			n.ckptDirty = make([]bool, c.npages)
-		}
-	}
-	for i := range n.pages {
-		// Generic fields only; policy.InitPage runs at Run start (after
-		// allocation, when the home policy knows the data layout). The
-		// policy binding is set here so pages answer protocol questions
-		// even for frames that arrive before Run (multi-process startup).
-		n.pages[i] = &pageState{
-			proto:          c.params.Protocol,
-			policy:         c.policy,
-			applied:        vc.New(c.params.Procs),
-			perceivedOwner: 0, // pages are allocated (and initially owned) by node 0
-			copysetFS:      nil,
-		}
+		n.ckpt = c.params.CkptStores(id)
 	}
 	return n
+}
+
+// sizePages grows the node's per-page state to cover np pages. Alloc calls
+// it for every node, so page state tracks the allocated segment rather
+// than the MaxSharedBytes reservation. Idempotent for np <= len(n.pages).
+func (n *Node) sizePages(np int) {
+	for pg := len(n.pages); pg < np; pg++ {
+		// Generic fields only; policy.InitPage runs at Run start (after
+		// allocation, when the home policy knows the data layout). The
+		// policy binding is set here so a page answers protocol questions
+		// as soon as Alloc creates it; no message reaches it before Run,
+		// since the tcp runtime holds incoming frames at its run gate.
+		n.pages = append(n.pages, &pageState{
+			proto:          n.c.params.Protocol,
+			policy:         n.c.policy,
+			applied:        vc.New(n.c.params.Procs),
+			perceivedOwner: 0, // pages are allocated (and initially owned) by node 0
+		})
+		n.wroteSinceGC = append(n.wroteSinceGC, false)
+		if n.ckpt != nil {
+			n.ckptDirty = append(n.ckptDirty, false)
+		}
+	}
 }
 
 // --- typed shared-memory access ---
@@ -308,13 +321,33 @@ func (n *Node) makeTwin(pg int, ps *pageState) {
 		return
 	}
 	n.proc.Advance(n.c.params.CostTwin)
-	ps.twin = mem.Twin(ps.data)
+	ps.twin = n.newTwin(ps.data)
 	ps.dirtyMW = true
 	n.dirty = append(n.dirty, pg)
 	n.Stats.TwinsCreated++
 	n.Stats.CumTwinBytes += int64(len(ps.twin))
 	n.Stats.LiveTwinBytes += int64(len(ps.twin))
 	n.Stats.NoteLive()
+}
+
+// newTwin copies data into a recycled twin, or a fresh one when none is
+// free.
+func (n *Node) newTwin(data []byte) []byte {
+	k := len(n.twinFree)
+	if k == 0 {
+		return mem.Twin(data)
+	}
+	t := n.twinFree[k-1]
+	n.twinFree[k-1] = nil
+	n.twinFree = n.twinFree[:k-1]
+	return append(t[:0], data...)
+}
+
+// dropTwin retires the page's twin onto the node's free list.
+func (n *Node) dropTwin(ps *pageState) {
+	n.Stats.LiveTwinBytes -= int64(len(ps.twin))
+	n.twinFree = append(n.twinFree, ps.twin)
+	ps.twin = nil
 }
 
 // makeDiff turns the node's pending twin into a diff (lazily, on demand).
@@ -330,8 +363,7 @@ func (n *Node) makeDiff(pg int, ps *pageState) *mem.Diff {
 	wn.DataHint = d.DataBytes()
 	n.storeDiff(wn, d, true)
 	ps.undiffed = nil
-	n.Stats.LiveTwinBytes -= int64(len(ps.twin))
-	ps.twin = nil
+	n.dropTwin(ps)
 	n.noteDiffSize(ps, d)
 	n.c.detector.noteDiff(pg, d)
 	return d

@@ -23,8 +23,8 @@ import "adsm/internal/mem"
 // service, must not block) as annotated per method.
 type Policy interface {
 	// InitPage seeds node id's initial state for page pg (the page's mode,
-	// the initial copy, and ownership). Runs once per (node, page) at
-	// cluster construction; the generic fields (applied vector, perceived
+	// the initial copy, and ownership). Runs once per (node, allocated
+	// page) at Run start; the generic fields (applied vector, perceived
 	// owner = allocator) are already set.
 	InitPage(c *Cluster, id, pg int, ps *pageState)
 

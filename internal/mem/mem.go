@@ -48,38 +48,78 @@ type Diff struct {
 // MakeDiff compares twin and cur word by word and returns the run-length
 // encoded modifications. Returns a Diff with no runs when the copies are
 // identical.
+//
+// The diff is built at its exact size: a first pass counts the runs and
+// their bytes, the second fills one Runs slice and one backing buffer that
+// every run's Data is a capacity-clipped window of, so a diff costs at most
+// three allocations however many runs it has.
 func MakeDiff(page int, twin, cur []byte) *Diff {
 	if len(twin) != len(cur) {
 		panic("mem: twin/page size mismatch")
 	}
-	d := &Diff{Page: page}
-	n := len(cur)
-	i := 0
-	for i < n {
-		// Find the next differing word.
-		for i < n && wordEqual(twin, cur, i) {
-			i += WordSize
-		}
-		if i >= n {
+	nruns, nbytes := 0, 0
+	for i := 0; ; {
+		start, end := nextRun(twin, cur, i)
+		if start == end {
 			break
 		}
-		start := i
-		for i < n && !wordEqual(twin, cur, i) {
-			i += WordSize
-		}
-		run := Run{Off: start, Data: make([]byte, i-start)}
-		copy(run.Data, cur[start:i])
-		d.Runs = append(d.Runs, run)
+		nruns++
+		nbytes += end - start
+		i = end
+	}
+	d := &Diff{Page: page}
+	if nruns == 0 {
+		return d
+	}
+	d.Runs = make([]Run, nruns)
+	buf := make([]byte, nbytes)
+	off := 0
+	for k, i := 0, 0; k < nruns; k++ {
+		start, end := nextRun(twin, cur, i)
+		next := off + copy(buf[off:], cur[start:end])
+		d.Runs[k] = Run{Off: start, Data: buf[off:next:next]}
+		off, i = next, end
 	}
 	return d
 }
 
-func wordEqual(a, b []byte, off int) bool {
-	end := off + WordSize
-	if end > len(a) {
-		end = len(a)
+// nextRun returns the next modified extent [start, end) at or after byte
+// i, with boundaries at WordSize granularity (end clipped to the page), or
+// start == end == len(cur) when the rest of the page is unmodified. Equal
+// and wholly modified stretches are crossed 8 bytes (two words) at a time;
+// wordEqual places the run edges.
+func nextRun(twin, cur []byte, i int) (start, end int) {
+	n := len(cur)
+	for i+8 <= n && binary.LittleEndian.Uint64(twin[i:]) == binary.LittleEndian.Uint64(cur[i:]) {
+		i += 8
 	}
-	for i := off; i < end; i++ {
+	for i < n && wordEqual(twin, cur, i) {
+		i += WordSize
+	}
+	if i >= n {
+		return n, n
+	}
+	start = i
+	for i+8 <= n {
+		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(cur[i:])
+		if uint32(x) == 0 || x>>32 == 0 {
+			break
+		}
+		i += 8
+	}
+	for i < n && !wordEqual(twin, cur, i) {
+		i += WordSize
+	}
+	return start, min(i, n)
+}
+
+// wordEqual reports whether the WordSize-byte word at off (clipped to the
+// page end) is unmodified.
+func wordEqual(a, b []byte, off int) bool {
+	if off+WordSize <= len(a) {
+		return binary.LittleEndian.Uint32(a[off:]) == binary.LittleEndian.Uint32(b[off:])
+	}
+	for i := off; i < len(a); i++ {
 		if a[i] != b[i] {
 			return false
 		}

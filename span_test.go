@@ -217,12 +217,12 @@ func TestI64AddLocked(t *testing.T) {
 			cl := adsm.NewCluster(adsm.Config{Procs: 4, Protocol: proto})
 			base := cl.Alloc(64)
 			_, err := cl.Run(func(w *adsm.Worker) {
-				v := w.I64(base, 8)
+				v := adsm.View[int64](base, 8)
 				for i := 0; i < 10; i++ {
-					v.AddLocked(3, 2, 1)
+					v.AddLocked(w, 3, 2, 1)
 				}
 				w.Barrier()
-				if got := v.At(2); got != 40 {
+				if got := v.At(w, 2); got != 40 {
 					t.Errorf("worker %d: v[2] = %d, want 40", w.ID(), got)
 				}
 				w.Barrier()
@@ -272,19 +272,19 @@ func TestUpdateLocked(t *testing.T) {
 	}
 }
 
-// TestDeprecatedViewsBridge: the deprecated slice views and the typed API
-// observe the same memory.
-func TestDeprecatedViewsBridge(t *testing.T) {
+// TestViewMatchesAllocArray: a View over an allocated array's range and
+// the AllocArray handle observe the same memory and compare equal.
+func TestViewMatchesAllocArray(t *testing.T) {
 	cl := adsm.NewCluster(adsm.Config{Procs: 1})
 	arr := adsm.AllocArray[float64](cl, 16)
 	_, err := cl.Run(func(w *adsm.Worker) {
-		v := w.F64(arr.Base(), 16)
-		v.Set(4, 3.5)
+		v := adsm.View[float64](arr.Base(), 16)
+		v.Set(w, 4, 3.5)
 		if got := arr.At(w, 4); got != 3.5 {
-			t.Errorf("typed At = %v after F64Slice.Set", got)
+			t.Errorf("typed At = %v after View.Set", got)
 		}
-		if v.Shared() != arr {
-			t.Errorf("Shared() bridge lost the handle identity")
+		if v != arr {
+			t.Errorf("View over the array's range lost the handle identity")
 		}
 		w.Barrier()
 	})

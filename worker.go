@@ -101,91 +101,3 @@ func (w *Worker) ReadF64(addr Addr) float64 {
 func (w *Worker) WriteF64(addr Addr, v float64) {
 	w.n.WriteU64(addr, math.Float64bits(v))
 }
-
-// F64Slice views shared memory as a []float64 starting at base.
-//
-// Deprecated: use Shared[float64] (AllocArray / View), which adds bulk ops
-// and the Span fast path. F64Slice remains as a thin wrapper so existing
-// code keeps compiling.
-type F64Slice struct {
-	w *Worker
-	s Shared[float64]
-}
-
-// F64 creates a float64 view of n elements at base.
-//
-// Deprecated: use View[float64](base, n) with AllocArray-style calls.
-func (w *Worker) F64(base Addr, n int) F64Slice {
-	return F64Slice{w: w, s: View[float64](base, n)}
-}
-
-// Shared returns the typed handle backing the view — the migration path
-// from worker-bound slices to the cluster-level typed API.
-func (s F64Slice) Shared() Shared[float64] { return s.s }
-
-// Len returns the element count.
-func (s F64Slice) Len() int { return s.s.Len() }
-
-// Addr returns the address of element i.
-func (s F64Slice) Addr(i int) Addr { return s.s.Addr(i) }
-
-// At reads element i.
-func (s F64Slice) At(i int) float64 { return s.s.At(s.w, i) }
-
-// Set writes element i.
-func (s F64Slice) Set(i int, v float64) { s.s.Set(s.w, i, v) }
-
-// I64Slice views shared memory as a []int64 starting at base.
-//
-// Deprecated: use Shared[int64] (AllocArray / View), which adds bulk ops
-// and the Span fast path. I64Slice remains as a thin wrapper so existing
-// code keeps compiling.
-type I64Slice struct {
-	w *Worker
-	s Shared[int64]
-}
-
-// I64 creates an int64 view of n elements at base.
-//
-// Deprecated: use View[int64](base, n) with AllocArray-style calls.
-func (w *Worker) I64(base Addr, n int) I64Slice {
-	return I64Slice{w: w, s: View[int64](base, n)}
-}
-
-// Shared returns the typed handle backing the view — the migration path
-// from worker-bound slices to the cluster-level typed API.
-func (s I64Slice) Shared() Shared[int64] { return s.s }
-
-// Len returns the element count.
-func (s I64Slice) Len() int { return s.s.Len() }
-
-// Addr returns the address of element i.
-func (s I64Slice) Addr(i int) Addr { return s.s.Addr(i) }
-
-// At reads element i.
-func (s I64Slice) At(i int) int64 { return s.s.At(s.w, i) }
-
-// Set writes element i.
-func (s I64Slice) Set(i int, v int64) { s.s.Set(s.w, i, v) }
-
-// Add adds d to element i and returns the new value.
-//
-// Deprecated: Add is NOT atomic — between its read and its write another
-// processor's update to the same element can be lost, and nothing in the
-// call makes that visible at the call site. Use AddLocked, which names the
-// lock protecting the element, or an explicit Lock/At/Set/Unlock sequence.
-func (s I64Slice) Add(i int, d int64) int64 {
-	v := s.At(i) + d
-	s.Set(i, v)
-	return v
-}
-
-// AddLocked adds d to element i under the named lock and returns the new
-// value. The lock both serializes concurrent adders and (by lazy release
-// consistency) makes their updates visible, so concurrent AddLocked calls
-// with the same lockID never lose an update. All accesses to the element
-// must use the same lock for the guarantee to hold. (Shared[T] carries
-// the same method for new-API code.)
-func (s I64Slice) AddLocked(lockID, i int, d int64) int64 {
-	return s.s.AddLocked(s.w, lockID, i, d)
-}
